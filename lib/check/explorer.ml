@@ -3,19 +3,16 @@ open Groupsafe
 let ms = Sim.Sim_time.span_ms
 let sec = Sim.Sim_time.span_s
 
-type predicate = Any_loss | Violation
+type predicate = Pipeline.predicate = Any_loss | Violation
 
 type config = {
   technique : System.technique;
   predicate : predicate;
   params : Workload.Params.t;
-  fd : Gcs.Failure_detector.config;
   txs : int;
   spacing : Sim.Sim_time.span;
   horizon : Sim.Sim_time.span;
   quiescence : Sim.Sim_time.span;
-  system_seed : int64;
-  delays : bool;
   nemesis : bool;
   liveness : bool;
   storage : bool;
@@ -23,11 +20,6 @@ type config = {
   tuning : Gcs.Bcast_tuning.t;
   mutate : System.t -> unit;
 }
-
-(* Same light failure detector as the harness's long runs: 10 ms
-   heartbeats would dominate the event count of thousands of short
-   replays. *)
-let light_fd = { Gcs.Failure_detector.heartbeat_interval = ms 50.; timeout = ms 250. }
 
 let default_params =
   {
@@ -46,13 +38,10 @@ let default_config ?(predicate = Violation) ?(nemesis = false) ?(liveness = fals
     technique;
     predicate;
     params = default_params;
-    fd = light_fd;
     txs = 2;
     spacing = ms 5.;
     horizon = ms 60.;
     quiescence = sec 4.;
-    system_seed = 7L;
-    delays = (match technique with System.Dsm _ -> true | System.Lazy _ | System.Two_pc -> false);
     (* Liveness mode needs the full fault mix (partitions, loss windows)
        and the convergence probe, so it implies nemesis. *)
     nemesis = nemesis || liveness;
@@ -62,6 +51,17 @@ let default_config ?(predicate = Violation) ?(nemesis = false) ?(liveness = fals
     tuning;
     mutate;
   }
+
+(* The directed scenarios' system: the configured group, traced, mutated,
+   settled for a second (first election, first heartbeat rounds). *)
+let settled config =
+  let sys =
+    System.create ~seed:Pipeline.system_seed ~params:config.params
+      ~fd_config:Gcs.Failure_detector.light_config ~tuning:config.tuning config.technique
+  in
+  config.mutate sys;
+  System.run_for sys (sec 1.);
+  sys
 
 type outcome = {
   schedule : Schedule.t;
@@ -73,8 +73,6 @@ type outcome = {
   trace : string;
   highlights : string;
 }
-
-let span_mul s k = Sim.Sim_time.span_us (Sim.Sim_time.span_to_us s * k)
 
 let highlight_kinds =
   [
@@ -93,176 +91,49 @@ let render_highlights sys =
   String.concat "\n" (List.map Sim.Trace.render_entry entries)
 
 let run ?(trace = false) config schedule =
-  let params = { config.params with Workload.Params.servers = schedule.Schedule.servers } in
   let n = schedule.Schedule.servers in
-  (* Delivery-delay gates: a mutable hold per server, read by the gate on
-     every delivery, written by the schedule's Delay events. Only servers
-     the schedule actually delays get a gate, so delay-free schedules run
-     the production (synchronous) delivery path. *)
-  let holds = Array.make n Sim.Sim_time.span_zero in
-  let gated = Array.make n false in
-  List.iter
-    (fun e ->
-      match e.Schedule.kind with
-      | Schedule.Delay (i, _) -> gated.(i) <- true
-      | Schedule.Crash _ | Schedule.Recover _ | Schedule.Partition _ | Schedule.Heal
-      | Schedule.Drop_window _ | Schedule.Duplicate_next _ | Schedule.Torn_write _
-      | Schedule.Fsync_lie _ | Schedule.Corrupt_record _ | Schedule.Slow_disk _
-      | Schedule.Disk_full _ ->
-        ())
-    schedule.Schedule.events;
-  let has_nemesis =
-    List.exists
-      (fun e ->
-        match e.Schedule.kind with
-        | Schedule.Partition _ | Schedule.Heal | Schedule.Drop_window _
-        | Schedule.Duplicate_next _ ->
-          true
-        | Schedule.Crash _ | Schedule.Recover _ | Schedule.Delay _ | Schedule.Torn_write _
-        | Schedule.Fsync_lie _ | Schedule.Corrupt_record _ | Schedule.Slow_disk _
-        | Schedule.Disk_full _ ->
-          false)
-      schedule.Schedule.events
-  in
-  let has_storage_windows =
-    List.exists
-      (fun e ->
-        match e.Schedule.kind with
-        | Schedule.Slow_disk _ | Schedule.Disk_full _ -> true
-        | _ -> false)
-      schedule.Schedule.events
-  in
-  let delivery_delay i = if gated.(i) then Some (fun () -> holds.(i)) else None in
+  let params = { config.params with Workload.Params.servers = n } in
+  let holds, delivery_delay = Pipeline.delay_gates schedule in
   let sys =
-    System.create ~seed:config.system_seed ~params ~fd_config:config.fd
+    System.create ~seed:Pipeline.system_seed ~params ~fd_config:Gcs.Failure_detector.light_config
       ~tuning:config.tuning ~trace_enabled:trace ~delivery_delay config.technique
   in
   (* Oracle-mutation hook: deliberate protocol breakage installed before
      any load, so mutation tests exercise the whole run. *)
   config.mutate sys;
-  let engine = System.engine sys in
-  let at delay f = ignore (Sim.Engine.schedule engine ~delay f) in
   (* The fixed load: write-only transactions on disjoint items, delegates
      round-robin. A submission to a crashed delegate is skipped — the
      client could not have reached it. *)
-  let delegate_of = Hashtbl.create 8 in
   for i = 0 to schedule.Schedule.txs - 1 do
     let delegate = i mod n in
-    Hashtbl.replace delegate_of i delegate;
     let tx =
       Db.Transaction.make ~id:i ~client:0
         [ Db.Op.Write (2 * i, i + 1); Db.Op.Write ((2 * i) + 1, i + 1) ]
     in
-    at
-      (span_mul schedule.Schedule.spacing i)
-      (fun () -> if System.alive sys delegate then System.submit sys ~delegate tx)
+    ignore
+      (Sim.Engine.schedule (System.engine sys)
+         ~delay:(Sim.Sim_time.span_us (Sim.Sim_time.span_to_us schedule.Schedule.spacing * i))
+         (fun () -> if System.alive sys delegate then System.submit sys ~delegate tx))
   done;
-  (* Loss windows may overlap (two Drop_window events, or a shrink that
-     moved one); an epoch guard keeps the close of an earlier window from
-     cutting a later one short. Slow-disk and disk-full windows get the
-     same guard, per server. *)
-  let drop_epoch = ref 0 in
-  let slow_epoch = Array.make n 0 in
-  let full_epoch = Array.make n 0 in
-  let window_remaining e until =
-    Sim.Sim_time.span_us
-      (Int.max 0 (Sim.Sim_time.span_to_us until - Sim.Sim_time.span_to_us e.Schedule.at))
-  in
-  List.iter
-    (fun e ->
-      at e.Schedule.at (fun () ->
-          match e.Schedule.kind with
-          | Schedule.Crash i -> System.crash sys i
-          | Schedule.Recover i -> System.recover sys i
-          | Schedule.Delay (i, d) -> holds.(i) <- d
-          | Schedule.Partition groups -> System.partition sys groups
-          | Schedule.Heal -> System.heal sys
-          | Schedule.Drop_window { prob; until } ->
-            incr drop_epoch;
-            let epoch = !drop_epoch in
-            System.set_drop sys (Some prob);
-            at (window_remaining e until) (fun () ->
-                if !drop_epoch = epoch then System.set_drop sys None)
-          | Schedule.Duplicate_next i -> System.duplicate_next sys i
-          | Schedule.Torn_write i -> System.inject_storage_fault sys i Db.Db_engine.Torn_write
-          | Schedule.Fsync_lie i -> System.inject_storage_fault sys i Db.Db_engine.Fsync_lie
-          | Schedule.Corrupt_record i ->
-            System.inject_storage_fault sys i Db.Db_engine.Corrupt_record
-          | Schedule.Slow_disk { server; factor; until } ->
-            slow_epoch.(server) <- slow_epoch.(server) + 1;
-            let epoch = slow_epoch.(server) in
-            System.set_disk_slow sys server factor;
-            at (window_remaining e until) (fun () ->
-                if slow_epoch.(server) = epoch then System.set_disk_slow sys server 1.0)
-          | Schedule.Disk_full { server; until } ->
-            full_epoch.(server) <- full_epoch.(server) + 1;
-            let epoch = full_epoch.(server) in
-            System.set_disk_full sys server true;
-            at (window_remaining e until) (fun () ->
-                if full_epoch.(server) = epoch then System.set_disk_full sys server false)))
-    schedule.Schedule.events;
+  let deployment = { Pipeline.groups = [| sys |]; holds; link = None } in
+  Pipeline.apply deployment schedule;
   System.run_for sys config.horizon;
-  (* Recover everyone and let the group settle: a transaction the oracle
-     still cannot find afterwards is permanently lost, not merely down
-     with a crashed server. Network faults heal first — "lost" must mean
-     lost on a connected network, not unreachable behind a partition. *)
-  if has_nemesis then begin
-    System.heal sys;
-    System.set_drop sys None
-  end;
-  (* Storage windows close too: a disk left full (or 100x slow) past the
-     horizon would wedge recovery itself, and "lost" must mean lost on a
-     working disk, not stuck behind a parked append. *)
-  if has_storage_windows then
-    for i = 0 to n - 1 do
-      System.set_disk_slow sys i 1.0;
-      System.set_disk_full sys i false
-    done;
-  for i = 0 to n - 1 do
-    System.recover sys i
-  done;
+  Pipeline.repair deployment schedule;
   System.run_for sys config.quiescence;
-  let report = Safety_checker.analyse sys in
-  let delegate_crashed tx_id =
-    match Hashtbl.find_opt delegate_of tx_id with
-    | None -> false
-    | Some d -> (System.history sys d).Gcs.Process_class.crashes <> []
+  let delegate_crashed _ tx_id =
+    tx_id >= 0 && tx_id < schedule.Schedule.txs
+    && (System.history sys (tx_id mod n)).Gcs.Process_class.crashes <> []
   in
-  (* In storage mode the durability oracle subsumes the loss predicate: it
-     applies the same Table-3 permissions and additionally excuses (while
-     still reporting) losses where every replica's WAL was betrayed — no
-     level survives total betrayal — and demands that recovery repaired
-     every injected torn tail and detected every corruption. *)
-  let durability =
-    if config.storage then Some (Durability.certify ~delegate_crashed sys report) else None
-  in
-  let failed =
-    match durability with
-    | Some v -> not v.Durability.clean
-    | None -> (
-      match config.predicate with
-      | Any_loss -> report.Safety_checker.lost <> []
-      | Violation -> not (Safety_checker.losses_allowed report ~delegate_crashed))
-  in
-  (* In nemesis mode the oracle is two-part: loss-freedom above, then
-     healing convergence — every acked update on every serving server and
-     a fresh probe committing. Certified after [analyse] so the probe
-     cannot perturb the loss report. *)
-  let converge = if config.nemesis then Some (Convergence.certify sys) else None in
-  let failed =
-    failed || match converge with Some v -> not v.Convergence.converged | None -> false
-  in
-  (* The liveness oracle is observation-only, so it stacks last: the
-     convergence probe has already run (liveness implies nemesis) and
-     lands in the submission books — a probe that never came back shows up
-     as a wedged transaction here too. *)
-  let liveness =
-    if config.liveness then
-      Some (Liveness.certify ?max_decision_us:config.max_decision_us sys)
-    else None
-  in
-  let failed =
-    failed || match liveness with Some v -> not v.Liveness.live | None -> false
+  let { Pipeline.report; converge; liveness; durability; failed } =
+    (Pipeline.certify
+       {
+         Pipeline.predicate = config.predicate;
+         storage = config.storage;
+         nemesis = config.nemesis;
+         liveness = config.liveness;
+         max_decision_us = config.max_decision_us;
+       }
+       ~delegate_crashed [| sys |]).(0)
   in
   {
     schedule;
@@ -321,6 +192,10 @@ let exhaustive config ~slots ~max_events ~recoveries =
     sizes
 
 let random_crashes config rng ~max_events =
+  (* Delivery delays only exist on the broadcast-based techniques' path. *)
+  let delays =
+    match config.technique with System.Dsm _ -> true | System.Lazy _ | System.Two_pc -> false
+  in
   let servers = config.params.Workload.Params.servers in
   let window_us = Sim.Sim_time.span_to_us config.horizon * 3 / 4 in
   let n_events = 1 + Sim.Rng.int rng max_events in
@@ -328,7 +203,7 @@ let random_crashes config rng ~max_events =
       let at = Sim.Sim_time.span_us (Sim.Rng.int rng (window_us + 1)) in
       let server = Sim.Rng.int rng servers in
       let kind =
-        match Sim.Rng.int rng (if config.delays then 5 else 4) with
+        match Sim.Rng.int rng (if delays then 5 else 4) with
         | 0 | 1 -> Schedule.Crash server
         | 2 | 3 -> Schedule.Recover server
         | _ -> Schedule.Delay (server, Sim.Sim_time.span_us (100 + Sim.Rng.int rng 20_000))
@@ -348,32 +223,13 @@ let random_nemesis_events config rng =
   let partition =
     if Sim.Rng.int partition_rng 2 = 0 then []
     else begin
-      let at_us = Sim.Rng.int partition_rng (window_us + 1) in
-      let size = 1 + Sim.Rng.int partition_rng (Int.max 1 ((servers - 1) / 2)) in
-      let members =
-        List.sort_uniq compare (List.init size (fun _ -> Sim.Rng.int partition_rng servers))
-      in
-      let hold_us = 1_000 + Sim.Rng.int partition_rng window_us in
-      [
-        { Schedule.at = Sim.Sim_time.span_us at_us; kind = Schedule.Partition [ members ] };
-        { Schedule.at = Sim.Sim_time.span_us (at_us + hold_us); kind = Schedule.Heal };
-      ]
+      let at = Sim.Sim_time.span_us (Sim.Rng.int partition_rng (window_us + 1)) in
+      let members = Pipeline.minority partition_rng ~servers in
+      let hold = Sim.Sim_time.span_us (1_000 + Sim.Rng.int partition_rng window_us) in
+      Pipeline.cut ~at ~hold members
     end
   in
-  let loss =
-    if Sim.Rng.int loss_rng 2 = 0 then []
-    else begin
-      let at_us = Sim.Rng.int loss_rng (window_us + 1) in
-      let prob = 0.2 +. Sim.Rng.float loss_rng 0.7 in
-      let len_us = 1_000 + Sim.Rng.int loss_rng window_us in
-      [
-        {
-          Schedule.at = Sim.Sim_time.span_us at_us;
-          kind = Schedule.Drop_window { prob; until = Sim.Sim_time.span_us (at_us + len_us) };
-        };
-      ]
-    end
-  in
+  let loss = Pipeline.loss_window loss_rng ~window_us in
   let dups =
     List.init (Sim.Rng.int dup_rng 3) (fun _ ->
         {
@@ -410,42 +266,35 @@ let random_storage_events config rng =
   let slow_rng = Sim.Rng.split rng in
   let full_rng = Sim.Rng.split rng in
   let victim = Sim.Rng.int victim_rng servers in
-  let armed_crash arm_rng kind_of =
+  let armed_crash victims arm_rng kind_of =
     let at_us = Sim.Rng.int arm_rng (window_us + 1) in
-    let s = victim in
     let crash_us = at_us + 500 + Sim.Rng.int arm_rng 8_000 in
     let recover_us = crash_us + 1_000 + Sim.Rng.int arm_rng 10_000 in
-    [
-      { Schedule.at = Sim.Sim_time.span_us at_us; kind = kind_of s };
-      { Schedule.at = Sim.Sim_time.span_us crash_us; kind = Schedule.Crash s };
-      { Schedule.at = Sim.Sim_time.span_us recover_us; kind = Schedule.Recover s };
-    ]
+    List.concat_map
+      (fun s ->
+        [
+          { Schedule.at = Sim.Sim_time.span_us at_us; kind = kind_of s };
+          { Schedule.at = Sim.Sim_time.span_us crash_us; kind = Schedule.Crash s };
+          { Schedule.at = Sim.Sim_time.span_us recover_us; kind = Schedule.Recover s };
+        ])
+      victims
   in
   let torn =
     if Sim.Rng.int torn_rng 2 = 0 then []
-    else armed_crash torn_rng (fun s -> Schedule.Torn_write s)
+    else armed_crash [ victim ] torn_rng (fun s -> Schedule.Torn_write s)
   in
   let lies =
     match Sim.Rng.int lie_rng 4 with
     | 0 ->
       (* Group lie: every disk lies, then the whole group crashes — the
          amnesia scenario rebuilt from the new fault vocabulary. *)
-      let at_us = Sim.Rng.int lie_rng (window_us + 1) in
-      let crash_us = at_us + 500 + Sim.Rng.int lie_rng 8_000 in
-      let recover_us = crash_us + 1_000 + Sim.Rng.int lie_rng 10_000 in
-      List.concat
-        (List.init servers (fun s ->
-             [
-               { Schedule.at = Sim.Sim_time.span_us at_us; kind = Schedule.Fsync_lie s };
-               { Schedule.at = Sim.Sim_time.span_us crash_us; kind = Schedule.Crash s };
-               { Schedule.at = Sim.Sim_time.span_us recover_us; kind = Schedule.Recover s };
-             ]))
-    | 1 | 2 -> armed_crash lie_rng (fun s -> Schedule.Fsync_lie s)
+      armed_crash (List.init servers Fun.id) lie_rng (fun s -> Schedule.Fsync_lie s)
+    | 1 | 2 -> armed_crash [ victim ] lie_rng (fun s -> Schedule.Fsync_lie s)
     | _ -> []
   in
   let corrupt =
     if Sim.Rng.int corrupt_rng 2 = 0 then []
-    else armed_crash corrupt_rng (fun s -> Schedule.Corrupt_record s)
+    else armed_crash [ victim ] corrupt_rng (fun s -> Schedule.Corrupt_record s)
   in
   let window mk_kind w_rng =
     if Sim.Rng.int w_rng 2 = 0 then []
@@ -516,25 +365,22 @@ let repair_fair ~horizon t =
             Some e)
       t.Schedule.events
   in
-  let down = ref [] in
-  let open_partition = ref false in
-  List.iter
-    (fun e ->
-      match e.Schedule.kind with
-      | Schedule.Crash i -> if not (List.mem i !down) then down := i :: !down
-      | Schedule.Recover i -> down := List.filter (fun j -> j <> i) !down
-      | Schedule.Partition _ -> open_partition := true
-      | Schedule.Heal -> open_partition := false
-      | Schedule.Delay _ | Schedule.Drop_window _ | Schedule.Duplicate_next _
-      | Schedule.Torn_write _ | Schedule.Fsync_lie _ | Schedule.Corrupt_record _
-      | Schedule.Slow_disk _ | Schedule.Disk_full _ ->
-        ())
-    events;
+  let down, open_partition =
+    List.fold_left
+      (fun (down, open_partition) e ->
+        match e.Schedule.kind with
+        | Schedule.Crash i -> ((if List.mem i down then down else i :: down), open_partition)
+        | Schedule.Recover i -> (List.filter (fun j -> j <> i) down, open_partition)
+        | Schedule.Partition _ -> (down, true)
+        | Schedule.Heal -> (down, false)
+        | _ -> (down, open_partition))
+      ([], false) events
+  in
   let repairs =
     List.map
       (fun i -> { Schedule.at = horizon; kind = Schedule.Recover i })
-      (List.sort Int.compare !down)
-    @ if !open_partition then [ { Schedule.at = horizon; kind = Schedule.Heal } ] else []
+      (List.sort Int.compare down)
+    @ if open_partition then [ { Schedule.at = horizon; kind = Schedule.Heal } ] else []
   in
   Schedule.make ~servers:t.Schedule.servers ~txs:t.Schedule.txs ~spacing:t.Schedule.spacing
     (events @ repairs)
@@ -545,15 +391,14 @@ let repair_fair ~horizon t =
    fairness constraint cuts away). After a few rejections, repair the
    last candidate instead of drawing again, so a pathological RNG stretch
    cannot stall generation. *)
-let random_fair_schedule ?(max_attempts = 3) config rng ~max_events ~note =
+let random_fair_schedule config rng ~max_events ~note =
   let rec attempt n =
     let candidate = random_schedule config rng ~max_events in
     match Schedule.fairness_violation ~horizon:config.horizon candidate with
     | None -> candidate
     | Some reason ->
       note reason;
-      if n >= max_attempts then repair_fair ~horizon:config.horizon candidate
-      else attempt (n + 1)
+      if n >= 3 then repair_fair ~horizon:config.horizon candidate else attempt (n + 1)
   in
   attempt 1
 
@@ -580,40 +425,8 @@ type result = {
   counterexample : counterexample option;
 }
 
-(* Greedy fixpoint: keep the first shrink candidate that still fails,
-   restart from it, stop when none of them do. Biased by the candidate
-   order of [Schedule.shrink] towards structurally smaller schedules. In
-   liveness mode, candidates that would break fairness are refused before
-   they run: dropping a lone Heal (keeping its partition) could "shrink"
-   into an unfair schedule that wedges any correct protocol, and a
-   liveness counterexample that is not fair is vacuous. *)
-let shrink_failing (config : config) schedule =
-  let shrink_runs = ref 0 in
-  let admissible candidate =
-    (not config.liveness) || Schedule.fair ~horizon:config.horizon candidate
-  in
-  let rec fix schedule rounds =
-    match
-      List.find_opt
-        (fun candidate ->
-          admissible candidate
-          && begin
-               incr shrink_runs;
-               (run config candidate).failed
-             end)
-        (Schedule.shrink schedule)
-    with
-    | Some smaller -> fix smaller (rounds + 1)
-    | None -> (schedule, rounds)
-  in
-  let shrunk, rounds = fix schedule 0 in
-  (shrunk, rounds, !shrink_runs)
-
-let explore ?(slots = [ ms 2.; ms 30. ]) ?(max_exhaustive_events = 3) ?(max_random_events = 4)
-    ?(recoveries = true) ~seed ~budget config =
+let explore ?(max_exhaustive_events = 3) ?(max_random_events = 4) ~seed ~budget config =
   let rng = Sim.Rng.create seed in
-  let runs = ref 0 in
-  let found = ref None in
   (* Fairness-rejection tally, reason -> count, in first-seen order.
      Candidates are generated sequentially on this domain (see below), so
      the tally is byte-identical at any worker count. *)
@@ -623,80 +436,52 @@ let explore ?(slots = [ ms 2.; ms 30. ]) ?(max_exhaustive_events = 3) ?(max_rand
     | Some n -> rejections := List.map (fun (r, c) -> if r = reason then (r, n + 1) else (r, c)) !rejections
     | None -> rejections := !rejections @ [ (reason, 1) ]
   in
-  let try_one phase schedule =
-    incr runs;
-    if (run config schedule).failed then begin
-      found := Some (phase, schedule);
-      raise Exit
-    end
-  in
+  let fails schedule = (run config schedule).failed in
   (* The bounded-exhaustive universe is crash-heavy and almost entirely
      unfair (lone crashes, lone partitions); liveness is a storm mode.
      Storage mode is a storm mode too: destructive arms only matter
      paired with a crash, a pattern the combination universe lacks. *)
-  if not (config.liveness || config.storage) then begin
-    try
-      Seq.iter
-        (fun schedule ->
-          if !runs >= budget then raise Exit;
-          try_one Exhaustive schedule)
-        (exhaustive config ~slots ~max_events:max_exhaustive_events ~recoveries)
-    with Exit -> ()
-  end;
-  (* Random storms, fanned out over the domain pool. Every storm schedule
-     is generated up front on this domain — the RNG draws happen in index
-     order, so storm [k] is the same schedule a sequential loop would have
-     produced — and the replays are joined by index, with the failure of
-     the lowest index winning. Verdicts, counterexamples and the reported
-     run counts are therefore byte-identical at any worker count. *)
-  if !found = None && !runs < budget then begin
-    let remaining = budget - !runs in
-    let servers = config.params.Workload.Params.servers in
-    let empty = Schedule.make ~servers ~txs:config.txs ~spacing:config.spacing [] in
-    let storms = Array.make remaining empty in
-    (* Explicit ascending fill: the storm stream must consume [rng] in
-       index order (Array.init's evaluation order is unspecified). *)
-    for k = 0 to remaining - 1 do
-      storms.(k) <-
-        (if config.liveness then
-           random_fair_schedule config rng ~max_events:max_random_events ~note:note_rejection
-         else random_schedule config rng ~max_events:max_random_events)
-    done;
-    let jobs = Parallel.Domain_pool.default_jobs () in
-    let batch = Int.max 1 (jobs * 2) in
-    let base = ref 0 in
-    while !base < remaining && !found = None do
-      let n = Int.min batch (remaining - !base) in
-      let here = !base in
-      let failures =
-        Parallel.Domain_pool.map
-          ((fun k -> (run config storms.(here + k)).failed)
-          [@lint.allow "T-domain-escape"
-            "read-only sharing: [storms] is fully written before the fan-out \
-             and each worker reads a distinct index"])
-          (List.init n Fun.id)
-      in
-      List.iteri
-        (fun k failed ->
-          if failed && !found = None then begin
-            found := Some (Random_storm, storms.(here + k));
-            runs := !runs + k + 1
-          end)
-        failures;
-      if !found = None then runs := !runs + n;
-      base := here + n
-    done
-  end;
-  let counterexample =
-    match !found with
-    | None -> None
-    | Some (found_in, original) ->
-      let shrunk, shrink_rounds, shrink_runs = shrink_failing config original in
-      let outcome = run ~trace:true config shrunk in
-      Some
-        { original; found_in; runs_to_find = !runs; shrunk; shrink_rounds; shrink_runs; outcome }
+  let exhaustive_phase =
+    if config.liveness || config.storage then [||]
+    else
+      Array.of_seq
+        (Seq.take (Int.max 0 budget)
+           (exhaustive config ~slots:[ ms 2.; ms 30. ] ~max_events:max_exhaustive_events
+              ~recoveries:true))
   in
-  { config; seed; budget; runs = !runs; rejections = !rejections; counterexample }
+  (* Then random storms, every one generated up front on this domain, so
+     the RNG draws happen in index order and storm [k] is the same
+     schedule a sequential loop would have produced. Both phases replay as
+     one candidate array: the lowest failing index wins either way. *)
+  let candidates =
+    Array.append exhaustive_phase
+      (Array.init
+         (Int.max 0 (budget - Array.length exhaustive_phase))
+         (fun _ ->
+           if config.liveness then
+             random_fair_schedule config rng ~max_events:max_random_events ~note:note_rejection
+           else random_schedule config rng ~max_events:max_random_events))
+  in
+  let runs, counterexample =
+    match Pipeline.first_failing ~fails candidates with
+    | None -> (Array.length candidates, None)
+    | Some k ->
+      let original = candidates.(k) in
+      let found_in = if k < Array.length exhaustive_phase then Exhaustive else Random_storm in
+      (* In liveness mode, candidates that would break fairness are refused
+         before they run: dropping a lone Heal (keeping its partition) could
+         "shrink" into an unfair schedule that wedges any correct protocol,
+         and a liveness counterexample that is not fair is vacuous. *)
+      let admissible candidate =
+        (not config.liveness) || Schedule.fair ~horizon:config.horizon candidate
+      in
+      let shrunk, shrink_rounds, shrink_runs = Pipeline.shrink ~admissible ~fails original in
+      let outcome = run ~trace:true config shrunk in
+      let runs_to_find = k + 1 in
+      ( runs_to_find,
+        Some { original; found_in; runs_to_find; shrunk; shrink_rounds; shrink_runs; outcome } )
+  in
+  { config; seed; budget; runs; rejections = !rejections; counterexample }
 
 (* ---- directed scenario: the minority must stall, not diverge ---- *)
 
@@ -713,14 +498,10 @@ type stall_outcome = {
 let minority_stall ?(cut = sec 2.) config =
   let n = config.params.Workload.Params.servers in
   if n < 3 then invalid_arg "Explorer.minority_stall: needs at least 3 servers";
-  let sys =
-    System.create ~seed:config.system_seed ~params:config.params ~fd_config:config.fd
-      ~tuning:config.tuning config.technique
-  in
-  (* Settle (leader election), cut S0 off, then offer work to both sides:
-     uniform delivery needs a quorum, so the minority delegate must sit on
-     its transaction while the majority keeps committing. *)
-  System.run_for sys (sec 1.);
+  (* Settle, cut S0 off, then offer work to both sides: uniform delivery
+     needs a quorum, so the minority delegate must sit on its transaction
+     while the majority keeps committing. *)
+  let sys = settled config in
   let minority = [ 0 ] in
   let majority = List.init (n - 1) (fun i -> i + 1) in
   System.partition sys [ minority; majority ];
@@ -780,13 +561,7 @@ type takeover_outcome = {
 let leader_takeover ?(kills = 3) config =
   let n = config.params.Workload.Params.servers in
   if n < 3 then invalid_arg "Explorer.leader_takeover: needs at least 3 servers";
-  let sys =
-    System.create ~seed:config.system_seed ~params:config.params ~fd_config:config.fd
-      ~tuning:config.tuning config.technique
-  in
-  config.mutate sys;
-  (* Settle: first election, first empty heartbeat rounds. *)
-  System.run_for sys (sec 1.);
+  let sys = settled config in
   let killed = ref [] in
   let takeovers = ref 0 in
   let submitted = ref 0 in
@@ -849,12 +624,7 @@ type torn_outcome = {
 let torn_leader_tail ?(rounds = 3) config =
   let n = config.params.Workload.Params.servers in
   if n < 3 then invalid_arg "Explorer.torn_leader_tail: needs at least 3 servers";
-  let sys =
-    System.create ~seed:config.system_seed ~params:config.params ~fd_config:config.fd
-      ~tuning:config.tuning config.technique
-  in
-  config.mutate sys;
-  System.run_for sys (sec 1.);
+  let sys = settled config in
   let reports = ref 0 in
   for round = 0 to rounds - 1 do
     let victim = match System.leaders sys with l :: _ -> l | [] -> round mod n in
@@ -910,12 +680,7 @@ type lie_outcome = {
    report the loss yet stay clean for all of them. *)
 let fsync_lie_group_crash ?(txs = 2) config =
   let n = config.params.Workload.Params.servers in
-  let sys =
-    System.create ~seed:config.system_seed ~params:config.params ~fd_config:config.fd
-      ~tuning:config.tuning config.technique
-  in
-  config.mutate sys;
-  System.run_for sys (sec 1.);
+  let sys = settled config in
   for i = 0 to n - 1 do
     System.inject_storage_fault sys i Db.Db_engine.Fsync_lie
   done;

@@ -1,16 +1,10 @@
-(** Deterministic schedule exploration with counterexample shrinking.
+(** The unsharded checker: the one-group deployment of {!Pipeline}.
 
-    The explorer replays {!Schedule.t} values against a fresh {!System.t}
-    per schedule: a fixed write-only transaction load is submitted, the
-    schedule's crash / recover / delivery-delay and network-fault events
-    (partitions, heals, loss windows, duplications) fire at their
-    instants, every fault is healed at the horizon and every server
-    recovered, and after a quiescence period the
-    {!Groupsafe.Safety_checker} oracle inspects the outcome. "Lost"
-    therefore means {e permanently} lost — gone even though the whole
-    group came back on a connected network. In nemesis mode the
-    {!Groupsafe.Convergence} oracle additionally certifies healing
-    convergence after every run.
+    Each replay builds a fresh {!Groupsafe.System.t} (delivery-delay gates
+    on the servers the schedule delays), submits a fixed write-only load,
+    and runs the schedule through the shared fault applier, repair pass
+    and oracle stack. "Lost" therefore means {e permanently} lost — gone
+    even though the whole group came back on a connected network.
 
     Two search predicates:
 
@@ -27,24 +21,19 @@
     Exploration is deterministic per seed: a bounded-exhaustive pass over
     small event windows first (so the canonical counterexamples come out
     smallest), then seeded random storms until the budget runs out. The
-    first failing schedule is shrunk greedily — re-running candidates from
-    {!Schedule.shrink} and keeping the first that still fails, to a
-    fixpoint — and the shrunk schedule is re-run with tracing on, so the
+    first failing schedule is shrunk and re-run with tracing on, so the
     counterexample carries its full {!Sim.Trace}. *)
 
-type predicate = Any_loss | Violation
+type predicate = Pipeline.predicate = Any_loss | Violation
 
 type config = {
   technique : Groupsafe.System.technique;
   predicate : predicate;
   params : Workload.Params.t;  (** [params.servers] is the base server count. *)
-  fd : Gcs.Failure_detector.config;
   txs : int;  (** write-only transactions on disjoint items. *)
   spacing : Sim.Sim_time.span;  (** transaction [i] is submitted at [i * spacing]. *)
   horizon : Sim.Sim_time.span;  (** fault window; every server is recovered here. *)
   quiescence : Sim.Sim_time.span;  (** settle time after the final recovery. *)
-  system_seed : int64;  (** seed of each replayed system (fixed across schedules). *)
-  delays : bool;  (** allow delivery-delay events in random schedules. *)
   nemesis : bool;
       (** generate network faults (partitions, loss windows, duplications)
           alongside crashes, and certify healing convergence after every
@@ -63,11 +52,8 @@ type config = {
           paired with a crash+recover of the same server — plus slow-disk
           and disk-full windows), the exhaustive pass is skipped (a
           destructive arm without its crash is inert), and the
-          {!Durability} oracle replaces the loss predicate: a loss is a
-          failure only if the advertised level forbids it {e and} at least
-          one replica's WAL was honest, and every injected torn tail /
-          corruption must have been repaired / detected by the recovery
-          scans. Does {e not} imply [nemesis]. *)
+          {!Durability} oracle replaces the loss predicate. Does {e not}
+          imply [nemesis]. *)
   max_decision_us : int option;
       (** liveness mode: bound every decided transaction's
           submission-to-decision latency; decisions beyond it fail the
@@ -84,6 +70,9 @@ type config = {
           {!Groupsafe.System.break_early_decision}) and prove the oracles
           would have caught them. *)
 }
+
+val default_params : Workload.Params.t
+(** 3 servers, 64 items, one client per server, no hot spot. *)
 
 val default_config :
   ?predicate:predicate ->
@@ -105,29 +94,19 @@ val default_config :
 type outcome = {
   schedule : Schedule.t;
   report : Groupsafe.Safety_checker.report;
-  converge : Groupsafe.Convergence.verdict option;
-      (** the healing-convergence verdict; [None] unless [config.nemesis]. *)
-  liveness : Liveness.verdict option;
-      (** the liveness verdict; [None] unless [config.liveness]. Certified
-          after the safety and convergence oracles — it is observation-only,
-          so the stacking order cannot perturb them. *)
+  converge : Groupsafe.Convergence.verdict option;  (** [Some] iff [config.nemesis]. *)
+  liveness : Liveness.verdict option;  (** [Some] iff [config.liveness]. *)
   durability : Durability.verdict option;
-      (** the durability verdict; [None] unless [config.storage]. In
-          storage mode it replaces the loss predicate in [failed]. *)
-  failed : bool;
-      (** the predicate (or, in storage mode, the durability verdict)
-          fired, or convergence or liveness failed. *)
+      (** [Some] iff [config.storage]; it then replaces the loss predicate. *)
+  failed : bool;  (** the {!Pipeline.certify} verdict. *)
   trace : string;  (** full rendered {!Sim.Trace}; [""] unless traced. *)
   highlights : string;  (** protocol-level trace lines only. *)
 }
 
 val run : ?trace:bool -> config -> Schedule.t -> outcome
-(** Replay one schedule. Deterministic: same config and schedule, same
-    outcome, byte for byte when traced. When the schedule contains network
-    faults, the network is healed (and any loss window closed) before the
-    at-horizon recovery, so "lost" keeps meaning {e permanently} lost.
-    With [config.nemesis], {!Groupsafe.Convergence.certify} then runs its
-    probe and the verdict is folded into [failed]. *)
+(** Replay one schedule through {!Pipeline}: load, faults, horizon,
+    repair, quiescence, oracles. Deterministic: same config and schedule,
+    same outcome, byte for byte when traced. *)
 
 type phase = Exhaustive | Random_storm
 
@@ -175,21 +154,9 @@ val repair_fair : horizon:Sim.Sim_time.span -> Schedule.t -> Schedule.t
     missing recoveries and heal at the horizon. Used as the storm
     generator's fallback after repeated unfair draws. *)
 
-val random_fair_schedule :
-  ?max_attempts:int ->
-  config ->
-  Sim.Rng.t ->
-  max_events:int ->
-  note:(string -> unit) ->
-  Schedule.t
-(** One fair random storm: draw {!random_schedule} candidates, reject
-    unfair ones (reporting each {!Schedule.fairness_violation} reason to
-    [note]), and after [max_attempts] (default 3) rejected draws repair
-    the last candidate with {!repair_fair} instead of drawing again. *)
-
 val random_schedule : config -> Sim.Rng.t -> max_events:int -> Schedule.t
 (** One random storm. Without [config.nemesis] or [config.storage]:
-    crashes, recoveries and (when [config.delays]) delivery delays,
+    crashes, recoveries and (Dsm techniques only) delivery delays,
     exactly as before. With [nemesis], each network-fault family draws
     from its own stream split off [rng] in a fixed order — crashes, then
     an optional minority partition+heal pair, an optional loss window
@@ -203,27 +170,20 @@ val random_schedule : config -> Sim.Rng.t -> max_events:int -> Schedule.t
     adding one family never perturbs another. *)
 
 val explore :
-  ?slots:Sim.Sim_time.span list ->
   ?max_exhaustive_events:int ->
   ?max_random_events:int ->
-  ?recoveries:bool ->
   seed:int64 ->
   budget:int ->
   config ->
   result
-(** Search up to [budget] schedules (exhaustive pass first, then seeded
-    random storms), stop at the first failure, shrink it, and replay the
-    shrunk schedule with tracing. Deterministic per ([seed], [budget],
-    config). Shrink re-runs are not charged against [budget].
-
-    The random-storm phase fans its replays out over
-    {!Parallel.Domain_pool}: every storm schedule is generated up front on
-    the calling domain (so the stream of RNG draws is identical to a
-    sequential run), replays are joined by storm index, and when several
-    storms in a batch fail the lowest index wins. The result — verdict,
-    counterexample, shrunk schedule and reported run counts — is
-    byte-identical at any worker count; shrinking itself stays sequential
-    because each candidate depends on the previous accept. *)
+(** Search up to [budget] schedules — the {!exhaustive} pass (slots 2 ms
+    and 30 ms, with recoveries), then seeded random storms — as one
+    candidate array through {!Pipeline.first_failing}, shrink the first
+    failure ({!Pipeline.shrink}, refusing unfair candidates in liveness
+    mode) and replay it with tracing. Storms are generated up front on the
+    calling domain, so the result is deterministic per ([seed], [budget],
+    config) and byte-identical at any worker count. Shrink re-runs are not
+    charged against [budget]. *)
 
 (** {2 Directed scenario: a minority partition must stall, not diverge} *)
 

@@ -553,3 +553,19 @@ let parse text =
     | None, _, _ -> Error "missing 'servers' line"
     | _, None, _ -> Error "missing 'txs' line"
     | _, _, None -> Error "missing 'spacing_us' line")
+
+(* Prose comment lines carry no [=], or only inside phrases whose "key"
+   has spaces. *)
+let directives text =
+  List.filter_map
+    (fun line ->
+      let line = String.trim line in
+      if String.length line > 1 && line.[0] = '#' then
+        match String.index_opt line '=' with
+        | Some eq ->
+          let key = String.trim (String.sub line 1 (eq - 1)) in
+          let value = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
+          if key = "" || String.contains key ' ' then None else Some (key, value)
+        | None -> None
+      else None)
+    (String.split_on_char '\n' text)

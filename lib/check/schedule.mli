@@ -108,5 +108,10 @@ val serialize : t -> string
 val parse : string -> (t, string) result
 (** Inverse of {!serialize}, canonicalising through {!make}. *)
 
+val directives : string -> (string * string) list
+(** The replay directives of a corpus file: every [# key=value] comment
+    line whose key is one word, as [(key, value)] pairs in file order.
+    {!parse} skips these lines. *)
+
 val pp : Format.formatter -> t -> unit
 val render : t -> string

@@ -3,6 +3,9 @@ type config = { heartbeat_interval : Sim.Sim_time.span; timeout : Sim.Sim_time.s
 let default_config =
   { heartbeat_interval = Sim.Sim_time.span_ms 10.; timeout = Sim.Sim_time.span_ms 50. }
 
+let light_config =
+  { heartbeat_interval = Sim.Sim_time.span_ms 50.; timeout = Sim.Sim_time.span_ms 250. }
+
 type Net.Message.payload += Heartbeat
 
 type t = {

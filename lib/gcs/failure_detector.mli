@@ -17,6 +17,11 @@ type config = {
 val default_config : config
 (** 10 ms heartbeats, 50 ms timeout — negligible load at Table 4 scale. *)
 
+val light_config : config
+(** 50 ms heartbeats, 250 ms timeout: for long performance runs, where
+    nothing crashes, and for the checkers' thousands of short replays,
+    whose event count 10 ms heartbeats would dominate. *)
+
 type t
 
 val create : Net.Endpoint.t -> peers:Net.Node_id.t list -> ?config:config -> unit -> t

@@ -4,11 +4,6 @@ module Pool = Parallel.Domain_pool
 let sec = Sim.Sim_time.span_s
 let ms = Sim.Sim_time.span_ms
 
-(* A lighter failure detector for long performance runs: the default 10 ms
-   heartbeat is pointless overhead when nothing crashes. *)
-let light_fd =
-  { Gcs.Failure_detector.heartbeat_interval = ms 50.; timeout = ms 250. }
-
 type load_point = {
   technique : System.technique;
   load_tps : float;
@@ -24,8 +19,8 @@ type load_point = {
 let run_load_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(warmup_s = 5.)
     ?(measure_s = 60.) ?apply_write_factor ?tuning ?(obs_trace = false) technique ~load_tps =
   let sys =
-    System.create ~seed ~params ~fd_config:light_fd ?apply_write_factor ?tuning
-      ~trace_enabled:false ~obs_trace technique
+    System.create ~seed ~params ~fd_config:Gcs.Failure_detector.light_config ?apply_write_factor
+      ?tuning ~trace_enabled:false ~obs_trace technique
   in
   System.attach_obs_samplers sys;
   let engine = System.engine sys in
@@ -66,7 +61,8 @@ let run_load_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(warmup_s = 
 let run_closed_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(warmup_s = 5.)
     ?(measure_s = 60.) technique ~think_time_s =
   let sys =
-    System.create ~seed ~params ~fd_config:light_fd ~trace_enabled:false technique
+    System.create ~seed ~params ~fd_config:Gcs.Failure_detector.light_config ~trace_enabled:false
+      technique
   in
   let engine = System.engine sys in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
@@ -110,8 +106,8 @@ let run_sharded_load_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(war
     ?(measure_s = 60.) ?tuning ?(shards = 1) ?(cross_fraction = 0.) ?(zipf_s = 0.) ?jobs
     technique ~load_tps =
   let cfg =
-    Shard.Sharded_system.config ~seed ?tuning ~fd_config:light_fd ~trace_enabled:false ~shards
-      ~params technique
+    Shard.Sharded_system.config ~seed ?tuning ~fd_config:Gcs.Failure_detector.light_config
+      ~trace_enabled:false ~shards ~params technique
   in
   let t = Shard.Sharded_system.create cfg in
   let map = Shard.Sharded_system.map t in
@@ -663,14 +659,6 @@ let verdict (acked, report) =
   else if report.Safety_checker.lost = [] then "no loss"
   else "LOST"
 
-let technique_of_level = function
-  | Safety.Zero_safe -> Some (System.Lazy Lazy_replica.Zero_safe_mode)
-  | Safety.One_safe -> Some (System.Lazy Lazy_replica.One_safe_mode)
-  | Safety.Group_safe -> Some (System.Dsm Dsm_replica.Group_safe_mode)
-  | Safety.Group_one_safe -> Some (System.Dsm Dsm_replica.Group_one_safe_mode)
-  | Safety.Two_safe -> Some (System.Dsm Dsm_replica.Two_safe_mode)
-  | Safety.Very_safe -> Some (System.Dsm Dsm_replica.Very_safe_mode)
-
 (* Worst-case schedules per crash budget. The delegate is server 0. *)
 let no_crash_cell ?seed technique = scenario ?seed technique ~pre:nop ~at_ack:nop ~later:nop
 
@@ -720,11 +708,7 @@ let table2 ?seed () =
         | Safety.Tolerates_none | Safety.Tolerates_minority -> "loss possible"
       end
   in
-  let with_technique =
-    List.filter_map
-      (fun level -> Option.map (fun t -> (level, t)) (technique_of_level level))
-      levels
-  in
+  let with_technique = List.map (fun level -> (level, System.technique_of_level level)) levels in
   (* The scenario matrix: every (level, crash budget) cell is one
      independent acknowledged-transaction replay — 3 cells per level, all
      fanned out together and joined by index. *)
@@ -921,8 +905,8 @@ let fig7 ?seed () =
 let measure_latencies ?(seed = 1L) ?uniform () =
   let params = Workload.Params.table4 in
   let sys =
-    System.create ~seed ~params ~fd_config:light_fd ?uniform ~trace_enabled:true
-      (System.Dsm Dsm_replica.Group_safe_mode)
+    System.create ~seed ~params ~fd_config:Gcs.Failure_detector.light_config ?uniform
+      ~trace_enabled:true (System.Dsm Dsm_replica.Group_safe_mode)
   in
   let engine = System.engine sys in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
@@ -1104,7 +1088,7 @@ let section7 () =
   let conflicts n =
     let params = { params with Workload.Params.servers = n } in
     let sys =
-      System.create ~params ~fd_config:light_fd ~trace_enabled:false
+      System.create ~params ~fd_config:Gcs.Failure_detector.light_config ~trace_enabled:false
         (System.Lazy Lazy_replica.One_safe_mode)
     in
     let engine = System.engine sys in
@@ -1234,7 +1218,10 @@ let recovery ?(seed = 1L) () =
     let params =
       { Workload.Params.table4 with Workload.Params.servers = 3; items = 2000 }
     in
-    let sys = System.create ~seed ~params ~fd_config:light_fd ~trace_enabled:false technique in
+    let sys =
+      System.create ~seed ~params ~fd_config:Gcs.Failure_detector.light_config
+        ~trace_enabled:false technique
+    in
     let engine = System.engine sys in
     let rng = Sim.Rng.split (Sim.Engine.rng engine) in
     let generator = Workload.Generator.create params (Sim.Rng.split rng) in
@@ -1434,13 +1421,46 @@ let ablation_uniformity ?(seed = 1L) () =
 
 (* ---- Schedule exploration (the checking subsystem's entry point) ---- *)
 
+module E = Check.Explorer
+
+let show r = Format.printf "%s@.@." (E.render_result r)
+let ok_cell ok = if ok then "ok" else "FAILED"
+
+let break_all f sys =
+  for i = 0 to System.n_servers sys - 1 do
+    f sys i
+  done
+
+(* A failing certification leaves its shrunk counterexample and full trace
+   at [path], under [head] (what names the technique). *)
+let write_counterexample ~path ~what ~head r =
+  match r.E.counterexample with
+  | None -> ()
+  | Some c ->
+    let oc = open_out path in
+    Printf.fprintf oc "%s\n%s\n\nfull trace of the shrunk schedule:\n%s\n" (head c)
+      (E.render_result r) c.E.outcome.E.trace;
+    close_out oc;
+    Report.note (Printf.sprintf "%s written to %s" what path)
+
+(* The counterexample head in replay-corpus form. *)
+let corpus_head technique c =
+  Printf.sprintf "# technique=%s\n%s" (System.technique_name technique)
+    (Check.Schedule.serialize c.E.shrunk)
+
+(* Storm-only certification ([budget] seeded storms, no exhaustive pass):
+   clean iff no counterexample; a failure is shown and written out. *)
+let certify_storms ~seed ~budget ~write cfg =
+  let r = E.explore ~seed ~budget ~max_exhaustive_events:0 ~max_random_events:3 cfg in
+  show r;
+  write r;
+  Option.is_none r.E.counterexample
+
 let explore ?(seed = 42L) ?(budget = 500) () =
   Report.section "Schedule exploration: Fig. 5 rediscovery and loss-freedom certification";
   Report.note "each configuration replays seeded crash/recover/delay schedules and";
   Report.note "asks the safety oracle after full recovery; failures are shrunk to a";
   Report.note "minimal counterexample (see docs/CHECKING.md).";
-  let module E = Check.Explorer in
-  let show r = Format.printf "%s@.@." (E.render_result r) in
   (* Classical atomic broadcast must lose: the explorer has to rediscover
      the Fig. 5 whole-group crash and shrink it to a handful of events. *)
   let r_classical =
@@ -1475,13 +1495,12 @@ let explore ?(seed = 42L) ?(budget = 500) () =
         ok && Option.is_none r.E.counterexample)
       true System.all_techniques
   in
-  let verdict ok = if ok then "ok" else "FAILED" in
   Report.table ~header:[ "check"; "verdict" ]
     [
-      [ "classical abcast: Fig. 5 loss rediscovered, shrunk to <= 6 events"; verdict fig5_found ];
-      [ "e2e broadcast (2-safe): no loss in any explored schedule"; verdict e2e_ok ];
-      [ "eager 2PC: no loss in any explored schedule"; verdict twopc_ok ];
-      [ "all techniques: no loss forbidden by the advertised level"; verdict violation_ok ];
+      [ "classical abcast: Fig. 5 loss rediscovered, shrunk to <= 6 events"; ok_cell fig5_found ];
+      [ "e2e broadcast (2-safe): no loss in any explored schedule"; ok_cell e2e_ok ];
+      [ "eager 2PC: no loss in any explored schedule"; ok_cell twopc_ok ];
+      [ "all techniques: no loss forbidden by the advertised level"; ok_cell violation_ok ];
     ];
   fig5_found && e2e_ok && twopc_ok && violation_ok
 
@@ -1494,27 +1513,15 @@ let nemesis ?(seed = 42L) ?(budget = 500) ?(counterexample_path = "nemesis-count
   Report.note "heal, a loss window, duplicated deliveries); after the horizon every";
   Report.note "fault heals, and the convergence oracle demands every acknowledged";
   Report.note "update on every serving server plus a committing probe (docs/CHECKING.md).";
-  let module E = Check.Explorer in
-  let show r = Format.printf "%s@.@." (E.render_result r) in
-  let write_counterexample technique r =
-    match r.E.counterexample with
-    | None -> ()
-    | Some c ->
-      let oc = open_out counterexample_path in
-      Printf.fprintf oc "%s\n%s\n\nfull trace of the shrunk schedule:\n%s\n"
-        (System.technique_name technique) (E.render_result r) c.E.outcome.E.trace;
-      close_out oc;
-      Report.note (Printf.sprintf "shrunk counterexample trace written to %s" counterexample_path)
-  in
   (* All of [budget] goes to seeded storms (exhaustive single-fault windows
      are covered by the unit tests); identical seeds replay identical
      storms, so a CI failure reproduces locally byte for byte. *)
   let certify ?tuning technique =
-    let cfg = E.default_config ~predicate:E.Any_loss ~nemesis:true ?tuning technique in
-    let r = E.explore ~seed ~budget ~max_exhaustive_events:0 ~max_random_events:3 cfg in
-    show r;
-    write_counterexample technique r;
-    Option.is_none r.E.counterexample
+    certify_storms ~seed ~budget
+      ~write:
+        (write_counterexample ~path:counterexample_path ~what:"shrunk counterexample trace"
+           ~head:(fun _ -> System.technique_name technique))
+      (E.default_config ~predicate:E.Any_loss ~nemesis:true ?tuning technique)
   in
   let e2e_ok = certify (System.Dsm Dsm_replica.Two_safe_mode) in
   let twopc_ok = certify System.Two_pc in
@@ -1533,29 +1540,28 @@ let nemesis ?(seed = 42L) ?(budget = 500) ?(counterexample_path = "nemesis-count
     E.minority_stall (E.default_config ~nemesis:true (System.Dsm Dsm_replica.Group_safe_mode))
   in
   Format.printf "%a@.@." E.pp_stall stall;
-  let verdict ok = if ok then "ok" else "FAILED" in
   Report.table ~header:[ "check"; "verdict" ]
     [
       [
         Printf.sprintf "e2e broadcast (2-safe): %d nemesis storms loss-free and convergent" budget;
-        verdict e2e_ok;
+        ok_cell e2e_ok;
       ];
       [
         Printf.sprintf "eager 2PC: %d nemesis storms loss-free and convergent" budget;
-        verdict twopc_ok;
+        ok_cell twopc_ok;
       ];
       [
         Printf.sprintf "2-safe, batched+pipelined engine: %d storms loss-free and convergent"
           budget;
-        verdict e2e_batched_ok;
+        ok_cell e2e_batched_ok;
       ];
       [
         Printf.sprintf "2-safe, ring engine: %d storms loss-free and convergent" budget;
-        verdict e2e_ring_ok;
+        ok_cell e2e_ring_ok;
       ];
       [
         "group-safe minority partition: stalled, no divergence, converged after heal";
-        verdict stall.E.ok;
+        ok_cell stall.E.ok;
       ];
     ];
   e2e_ok && twopc_ok && e2e_batched_ok && e2e_ring_ok && stall.E.ok
@@ -1570,30 +1576,10 @@ let liveness ?(seed = 42L) ?(budget = 500) ?max_decision_us
   Report.note "quiescence the liveness oracle demands a decision for every owed";
   Report.note "submission and a re-elected leader, on top of the safety and";
   Report.note "convergence oracles (docs/CHECKING.md, 'Liveness').";
-  let module E = Check.Explorer in
-  let show r = Format.printf "%s@.@." (E.render_result r) in
-  let write_counterexample technique r =
-    match r.E.counterexample with
-    | None -> ()
-    | Some c ->
-      let oc = open_out counterexample_path in
-      Printf.fprintf oc "# technique=%s\n%s\n%s\n\nfull trace of the shrunk schedule:\n%s\n"
-        (System.technique_name technique)
-        (Check.Schedule.serialize c.E.shrunk)
-        (E.render_result r) c.E.outcome.E.trace;
-      close_out oc;
-      Report.note
-        (Printf.sprintf "shrunk liveness counterexample written to %s" counterexample_path)
-  in
   (* Mutation rediscovery: re-break each of PR 2's protocol bugs through
      the oracle hooks and demand that the fair storms find it again and
      shrink it to a schedule that is still fair — a liveness check that
      cannot catch a known wedged-forever bug is not checking anything. *)
-  let break_all f sys =
-    for i = 0 to System.n_servers sys - 1 do
-      f sys i
-    done
-  in
   (match max_decision_us with
   | None -> ()
   | Some b ->
@@ -1627,11 +1613,11 @@ let liveness ?(seed = 42L) ?(budget = 500) ?max_decision_us
      loses on whole-group crashes, which fair storms do generate — its
      liveness evidence comes from the takeover scenario below). *)
   let certify ?tuning technique =
-    let cfg = E.default_config ~liveness:true ?max_decision_us ?tuning technique in
-    let r = E.explore ~seed ~budget ~max_random_events:3 cfg in
-    show r;
-    write_counterexample technique r;
-    Option.is_none r.E.counterexample
+    certify_storms ~seed ~budget
+      ~write:
+        (write_counterexample ~path:counterexample_path ~what:"shrunk liveness counterexample"
+           ~head:(corpus_head technique))
+      (E.default_config ~liveness:true ?max_decision_us ?tuning technique)
   in
   let e2e_ok = certify (System.Dsm Dsm_replica.Two_safe_mode) in
   let twopc_ok = certify System.Two_pc in
@@ -1658,35 +1644,34 @@ let liveness ?(seed = 42L) ?(budget = 500) ?max_decision_us
     takeover ~tuning:(Gcs.Bcast_tuning.ring ()) "group-safe (ring engine)"
       (System.Dsm Dsm_replica.Group_safe_mode)
   in
-  let verdict ok = if ok then "ok" else "FAILED" in
   Report.table ~header:[ "check"; "verdict" ]
     [
       [
         "mutation: leader never retransmits Accepts -> rediscovered, fair shrink";
-        verdict mut_accept_ok;
+        ok_cell mut_accept_ok;
       ];
       [
         "mutation: 2PC answers decisions before durable -> rediscovered, fair shrink";
-        verdict mut_2pc_ok;
+        ok_cell mut_2pc_ok;
       ];
       [
         Printf.sprintf "e2e broadcast (2-safe): %d fair storms decided and live" budget;
-        verdict e2e_ok;
+        ok_cell e2e_ok;
       ];
       [
         Printf.sprintf "eager 2PC: %d fair storms decided and live" budget;
-        verdict twopc_ok;
+        ok_cell twopc_ok;
       ];
       [
         Printf.sprintf "2-safe, batched+pipelined engine: %d fair storms decided and live"
           budget;
-        verdict e2e_batched_ok;
+        ok_cell e2e_batched_ok;
       ];
-      [ "group-safe: repeated leader kills handed over, all decided"; verdict takeover_gs_ok ];
-      [ "2-safe: repeated leader kills handed over, all decided"; verdict takeover_e2e_ok ];
+      [ "group-safe: repeated leader kills handed over, all decided"; ok_cell takeover_gs_ok ];
+      [ "2-safe: repeated leader kills handed over, all decided"; ok_cell takeover_e2e_ok ];
       [
         "group-safe ring engine: repeated leader kills handed over, all decided";
-        verdict takeover_ring_ok;
+        ok_cell takeover_ring_ok;
       ];
     ];
   mut_accept_ok && mut_2pc_ok && e2e_ok && twopc_ok && e2e_batched_ok && takeover_gs_ok
@@ -1703,31 +1688,16 @@ let storage ?(seed = 42L) ?(budget = 500)
   Report.note "oracle checks that every loss was permitted by the advertised level or";
   Report.note "by total storage betrayal, and that every injected torn tail was";
   Report.note "repaired and every corruption detected (docs/CHECKING.md).";
-  let module E = Check.Explorer in
-  let show r = Format.printf "%s@.@." (E.render_result r) in
-  let write_counterexample technique r =
-    match r.E.counterexample with
-    | None -> ()
-    | Some c ->
-      let oc = open_out counterexample_path in
-      Printf.fprintf oc "# technique=%s\n%s\n%s\n\nfull trace of the shrunk schedule:\n%s\n"
-        (System.technique_name technique)
-        (Check.Schedule.serialize c.E.shrunk)
-        (E.render_result r) c.E.outcome.E.trace;
-      close_out oc;
-      Report.note
-        (Printf.sprintf "shrunk storage counterexample written to %s" counterexample_path)
-  in
   (* The storm certification: the group-safe classical stack must come out
      clean — it may lose, but only where all replicas lost the record —
      and so must the 2-safe and 2PC stacks, whose only permitted losses
      are total-betrayal ones. *)
   let certify ?tuning technique =
-    let cfg = E.default_config ~storage:true ?tuning technique in
-    let r = E.explore ~seed ~budget ~max_random_events:3 cfg in
-    show r;
-    write_counterexample technique r;
-    Option.is_none r.E.counterexample
+    certify_storms ~seed ~budget
+      ~write:
+        (write_counterexample ~path:counterexample_path ~what:"shrunk storage counterexample"
+           ~head:(corpus_head technique))
+      (E.default_config ~storage:true ?tuning technique)
   in
   let gs_ok = certify (System.Dsm Dsm_replica.Group_safe_mode) in
   let e2e_ok = certify (System.Dsm Dsm_replica.Two_safe_mode) in
@@ -1742,11 +1712,6 @@ let storage ?(seed = 42L) ?(budget = 500)
   (* Mutation rediscovery: un-harden the WAL (recovery skips checksums) and
      demand the storms notice — a corruption arm whose recovery scan
      detects nothing fails the oracle's detected = scanned bookkeeping. *)
-  let break_all f sys =
-    for i = 0 to System.n_servers sys - 1 do
-      f sys i
-    done
-  in
   let mut_checksum_ok =
     let cfg =
       E.default_config ~storage:true
@@ -1782,31 +1747,30 @@ let storage ?(seed = 42L) ?(budget = 500)
   let lie_one = lie (System.Lazy Lazy_replica.One_safe_mode) in
   let lie_gs = lie (System.Dsm Dsm_replica.Group_safe_mode) in
   let lie_e2e = lie (System.Dsm Dsm_replica.Two_safe_mode) in
-  let verdict ok = if ok then "ok" else "FAILED" in
   Report.table ~header:[ "check"; "verdict" ]
     [
       [
         Printf.sprintf "classical abcast (group-safe): %d storage storms certified clean" budget;
-        verdict gs_ok;
+        ok_cell gs_ok;
       ];
       [
         Printf.sprintf "e2e broadcast (2-safe): %d storage storms certified clean" budget;
-        verdict e2e_ok;
+        ok_cell e2e_ok;
       ];
       [
         Printf.sprintf "eager 2PC: %d storage storms certified clean" budget;
-        verdict twopc_ok;
+        ok_cell twopc_ok;
       ];
       [
         Printf.sprintf "group-safe, batched+pipelined engine: %d storms certified clean"
           budget;
-        verdict gs_batched_ok;
+        ok_cell gs_batched_ok;
       ];
-      [ "mutation: recovery skips checksums -> rediscovered"; verdict mut_checksum_ok ];
-      [ "group-safe: every torn leader tail repaired on recovery"; verdict torn.E.t_ok ];
-      [ "1-safe: fsync-lie group crash loses an acked tx, flagged-but-allowed"; verdict lie_one.E.f_ok ];
-      [ "group-safe: fsync-lie group crash loss permitted by group failure"; verdict lie_gs.E.f_ok ];
-      [ "2-safe: fsync-lie group crash loss permitted only by total betrayal"; verdict lie_e2e.E.f_ok ];
+      [ "mutation: recovery skips checksums -> rediscovered"; ok_cell mut_checksum_ok ];
+      [ "group-safe: every torn leader tail repaired on recovery"; ok_cell torn.E.t_ok ];
+      [ "1-safe: fsync-lie group crash loses an acked tx, flagged-but-allowed"; ok_cell lie_one.E.f_ok ];
+      [ "group-safe: fsync-lie group crash loss permitted by group failure"; ok_cell lie_gs.E.f_ok ];
+      [ "2-safe: fsync-lie group crash loss permitted only by total betrayal"; ok_cell lie_e2e.E.f_ok ];
     ];
   gs_ok && e2e_ok && twopc_ok && gs_batched_ok && mut_checksum_ok && torn.E.t_ok
   && lie_one.E.f_ok && lie_gs.E.f_ok && lie_e2e.E.f_ok

@@ -4,32 +4,20 @@ module Schedule = Check.Schedule
 
 let ms = St.span_ms
 let sec = St.span_s
-let light_fd = { Gcs.Failure_detector.heartbeat_interval = ms 50.; timeout = ms 250. }
 
-(* Same small-system shape as the unsharded explorer, with a key space
-   wide enough that every shard's range holds the whole fixed load. *)
-let default_params =
-  {
-    Workload.Params.table4 with
-    Workload.Params.servers = 3;
-    items = 240;
-    clients_per_server = 1;
-    hot_fraction = 0.;
-    hot_items = 0;
-  }
+(* The unsharded explorer's small system, with a key space wide enough
+   that every shard's range holds the whole fixed load. *)
+let default_params = { Check.Explorer.default_params with Workload.Params.items = 240 }
 
 type config = {
   technique : System.technique;
   shards : int;
   params : Workload.Params.t;
-  fd : Gcs.Failure_detector.config;
   txs : int;
   spacing : St.span;
   cross_every : int;
   horizon : St.span;
   quiescence : St.span;
-  system_seed : int64;
-  link : St.span;
 }
 
 let default_config ?(shards = 2) ?(cross_every = 2) technique =
@@ -37,14 +25,11 @@ let default_config ?(shards = 2) ?(cross_every = 2) technique =
     technique;
     shards;
     params = default_params;
-    fd = light_fd;
     txs = 4;
     spacing = ms 5.;
     cross_every;
     horizon = ms 60.;
     quiescence = sec 4.;
-    system_seed = 7L;
-    link = Sharded_system.default_link;
   }
 
 type shard_verdict = {
@@ -73,10 +58,6 @@ type outcome = {
   registry : Obs.Registry.t;
 }
 
-(* Cross-shard link changes derived from the schedule's partitions,
-   applied at window barriers (link faults act at window granularity). *)
-type link_cmd = Block of (int * int) list | Unblock_all
-
 (* Shard-to-shard reachability under a global partition: shard [s] is
    represented by its server [s * sps] (replica groups are placed whole
    into partition groups by the sharded fault vocabulary; a cut that
@@ -84,42 +65,41 @@ type link_cmd = Block of (int * int) list | Unblock_all
    talk iff their representatives share a partition group — servers in no
    explicit group form the implicit last group together. *)
 let blocked_pairs ~shards ~sps groups =
-  let rep s =
-    let gi = s * sps in
-    let rec find k = function
-      | [] -> -1
-      | g :: rest -> if List.mem gi g then k else find (k + 1) rest
-    in
-    find 0 groups
-  in
-  let reps = Array.init shards rep in
-  List.concat
-    (List.init shards (fun a ->
-         List.filter_map
-           (fun b -> if a <> b && reps.(a) <> reps.(b) then Some (a, b) else None)
-           (List.init shards Fun.id)))
+  let side s = List.find_index (List.mem (s * sps)) groups in
+  let all = List.init shards Fun.id in
+  List.concat_map
+    (fun a -> List.filter_map (fun b -> if side a <> side b then Some (a, b) else None) all)
+    all
+
+(* The sharded setting of the oracle stack: durability replaces the loss
+   predicate, and convergence is certified after every run. *)
+let oracles =
+  {
+    Check.Pipeline.predicate = Check.Pipeline.Violation;
+    storage = true;
+    nemesis = true;
+    liveness = false;
+    max_decision_us = None;
+  }
 
 let run config schedule =
   let sps = config.params.Workload.Params.servers in
   let shards = config.shards in
-  let n = shards * sps in
-  if schedule.Schedule.servers <> n then
+  if schedule.Schedule.servers <> shards * sps then
     invalid_arg "Shard_check.run: schedule servers must equal shards * servers-per-shard";
-  List.iter
-    (fun e ->
-      match e.Schedule.kind with
-      | Schedule.Delay _ ->
-        invalid_arg "Shard_check.run: delivery-delay events are not in the sharded vocabulary"
-      | _ -> ())
-    schedule.Schedule.events;
+  if
+    List.exists
+      (fun e -> match e.Schedule.kind with Schedule.Delay _ -> true | _ -> false)
+      schedule.Schedule.events
+  then invalid_arg "Shard_check.run: delivery-delay events are not in the sharded vocabulary";
   let scfg =
-    Sharded_system.config ~seed:config.system_seed ~fd_config:config.fd ~trace_enabled:false
-      ~link:config.link ~shards ~params:config.params config.technique
+    Sharded_system.config ~seed:Check.Pipeline.system_seed
+      ~fd_config:Gcs.Failure_detector.light_config ~trace_enabled:false ~shards
+      ~params:config.params config.technique
   in
   let t = Sharded_system.create scfg in
   let map = Sharded_system.map t in
   let sys s = Sharded_system.sys t s in
-  let at_shard s delay f = ignore (Sim.Engine.schedule (Sharded_system.engine_of t s) ~delay f) in
   (* The fixed load: write-only transactions, each homed on shard
      [i mod shards] with delegate [i mod sps] there, writing two items of
      its home range; every [cross_every]-th transaction also writes one
@@ -145,136 +125,42 @@ let run config schedule =
       else ops
     in
     let tx = Db.Transaction.make ~id:i ~client:0 ops in
-    at_shard home
-      (St.span_us (St.span_to_us schedule.Schedule.spacing * i))
-      (fun () ->
-        if System.alive (sys home) local then
-          Sharded_system.submit t ~delegate:((home * sps) + local) tx)
+    ignore
+      (Sim.Engine.schedule (Sharded_system.engine_of t home)
+         ~delay:(St.span_us (St.span_to_us schedule.Schedule.spacing * i))
+         (fun () ->
+           if System.alive (sys home) local then
+             Sharded_system.submit t ~delegate:((home * sps) + local) tx))
   done;
-  (* Schedule the fault events, each decomposed onto the shard(s) it
-     touches; partitions additionally queue cross-shard link commands
-     applied at the window barriers. Overlapping windows get the same
-     epoch guards as the unsharded explorer, per shard / per server. *)
+  (* Partitions and heals become cross-shard link commands, applied at the
+     window barriers (link faults act at window granularity). *)
   let link_cmds = ref [] in
-  let queue_link at cmd = link_cmds := (at, cmd) :: !link_cmds in
-  let drop_epoch = Array.make shards 0 in
-  let slow_epoch = Array.make n 0 in
-  let full_epoch = Array.make n 0 in
-  let window_remaining e until =
-    St.span_us (Int.max 0 (St.span_to_us until - St.span_to_us e.Schedule.at))
+  let link at groups =
+    link_cmds := (at, Option.map (blocked_pairs ~shards ~sps) groups) :: !link_cmds
   in
-  let each_shard f =
-    for s = 0 to shards - 1 do
-      f s
-    done
+  let deployment =
+    { Check.Pipeline.groups = Array.init shards sys; holds = [||]; link = Some link }
   in
-  List.iter
-    (fun e ->
-      match e.Schedule.kind with
-      | Schedule.Crash gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () -> System.crash (sys s) l)
-      | Schedule.Recover gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () -> System.recover (sys s) l)
-      | Schedule.Delay _ -> ()
-      | Schedule.Partition groups ->
-        each_shard (fun s ->
-            let local_groups =
-              List.filter_map
-                (fun g ->
-                  match
-                    List.filter_map
-                      (fun gi -> if gi / sps = s then Some (gi mod sps) else None)
-                      g
-                  with
-                  | [] -> None
-                  | locals -> Some locals)
-                groups
-            in
-            if local_groups <> [] then
-              at_shard s e.Schedule.at (fun () -> System.partition (sys s) local_groups));
-        queue_link e.Schedule.at (Block (blocked_pairs ~shards ~sps groups))
-      | Schedule.Heal ->
-        each_shard (fun s -> at_shard s e.Schedule.at (fun () -> System.heal (sys s)));
-        queue_link e.Schedule.at Unblock_all
-      | Schedule.Drop_window { prob; until } ->
-        each_shard (fun s ->
-            at_shard s e.Schedule.at (fun () ->
-                drop_epoch.(s) <- drop_epoch.(s) + 1;
-                let epoch = drop_epoch.(s) in
-                System.set_drop (sys s) (Some prob);
-                at_shard s (window_remaining e until) (fun () ->
-                    if drop_epoch.(s) = epoch then System.set_drop (sys s) None)))
-      | Schedule.Duplicate_next gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () -> System.duplicate_next (sys s) l)
-      | Schedule.Torn_write gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () ->
-            System.inject_storage_fault (sys s) l Db.Db_engine.Torn_write)
-      | Schedule.Fsync_lie gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () ->
-            System.inject_storage_fault (sys s) l Db.Db_engine.Fsync_lie)
-      | Schedule.Corrupt_record gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () ->
-            System.inject_storage_fault (sys s) l Db.Db_engine.Corrupt_record)
-      | Schedule.Slow_disk { server = gi; factor; until } ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () ->
-            slow_epoch.(gi) <- slow_epoch.(gi) + 1;
-            let epoch = slow_epoch.(gi) in
-            System.set_disk_slow (sys s) l factor;
-            at_shard s (window_remaining e until) (fun () ->
-                if slow_epoch.(gi) = epoch then System.set_disk_slow (sys s) l 1.0))
-      | Schedule.Disk_full { server = gi; until } ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () ->
-            full_epoch.(gi) <- full_epoch.(gi) + 1;
-            let epoch = full_epoch.(gi) in
-            System.set_disk_full (sys s) l true;
-            at_shard s (window_remaining e until) (fun () ->
-                if full_epoch.(gi) = epoch then System.set_disk_full (sys s) l false)))
-    schedule.Schedule.events;
-  (* Link commands sorted by time; applied at each barrier once the window
-     reaching their instant closes. *)
-  let pending =
-    ref
-      (List.stable_sort
-         (fun (a, _) (b, _) -> Int.compare (St.span_to_us a) (St.span_to_us b))
-         (List.rev !link_cmds))
+  Check.Pipeline.apply deployment schedule;
+  (* In time order: the applier walks the schedule's sorted events. *)
+  let pending = ref (List.rev !link_cmds) in
+  let rec on_exchange ~window ~until =
+    match !pending with
+    | (at, cmd) :: rest when St.(St.add St.zero at < until) ->
+      pending := rest;
+      Sharded_system.clear_blocked t;
+      Option.iter (List.iter (fun (src, dst) -> Sharded_system.block_link t ~src ~dst)) cmd;
+      on_exchange ~window ~until
+    | _ -> ()
   in
-  let on_exchange ~window:_ ~until =
-    let rec apply () =
-      match !pending with
-      | (at, cmd) :: rest when St.(St.add St.zero at < until) ->
-        pending := rest;
-        (match cmd with
-        | Block pairs ->
-          Sharded_system.clear_blocked t;
-          List.iter (fun (src, dst) -> Sharded_system.block_link t ~src ~dst) pairs
-        | Unblock_all -> Sharded_system.clear_blocked t);
-        apply ()
-      | _ -> ()
-    in
-    apply ()
-  in
-  Sharded_system.run_for ~on_exchange t config.horizon;
-  (* Repair everything before quiescence, exactly like the unsharded
-     explorer: "lost" must mean permanently lost on a healed, recovered
-     deployment — including the cross-shard links. *)
+  (* One domain: a storm search already fans whole runs out over the
+     pool, and domains never nest. *)
+  Sharded_system.run_for ~jobs:1 ~on_exchange t config.horizon;
+  (* "Lost" must mean permanently lost on a healed, recovered deployment —
+     including the cross-shard links. *)
   Sharded_system.clear_blocked t;
-  each_shard (fun s ->
-      System.heal (sys s);
-      System.set_drop (sys s) None;
-      for l = 0 to sps - 1 do
-        System.set_disk_slow (sys s) l 1.0;
-        System.set_disk_full (sys s) l false;
-        System.recover (sys s) l
-      done);
-  Sharded_system.run_for t config.quiescence;
+  Check.Pipeline.repair deployment schedule;
+  Sharded_system.run_for ~jobs:1 t config.quiescence;
   (* ---- oracles ---- *)
   (* Sub-transaction delegates reuse their global transaction's local
      index, so one mapping answers for workload ids and sub ids alike. *)
@@ -282,31 +168,23 @@ let run config schedule =
     let g = if id >= 0 then id else (-id - 1) / 2 in
     (System.history (sys s) (g mod sps)).Gcs.Process_class.crashes <> []
   in
-  let reports = Array.init shards (fun s -> Safety_checker.analyse (sys s)) in
-  let durability =
-    Array.init shards (fun s ->
-        Check.Durability.certify ~delegate_crashed:(delegate_crashed s) (sys s) reports.(s))
-  in
-  (* Convergence runs each shard's engine solo (probe + settle), so it
-     comes last: the clocks desynchronise and no further windowed run may
-     follow. *)
-  let converge =
-    Array.init shards (fun s -> Convergence.certify ~probe_tx_id:(1_000_000 + s) (sys s))
-  in
+  (* Convergence probes run each shard's engine solo, so the clocks leave
+     lockstep here: no windowed run may follow. *)
+  let verdicts = Check.Pipeline.certify oracles ~delegate_crashed (Array.init shards sys) in
+  let reports = Array.map (fun v -> v.Check.Pipeline.report) verdicts in
   let shard_verdicts =
-    List.init shards (fun s ->
-        let ok =
-          durability.(s).Check.Durability.clean && converge.(s).Convergence.converged
-        in
+    List.mapi
+      (fun s { Check.Pipeline.report; durability; converge; failed; _ } ->
         {
           sv_shard = s;
-          sv_report = reports.(s);
+          sv_report = report;
           sv_losses_allowed =
-            Safety_checker.losses_allowed reports.(s) ~delegate_crashed:(delegate_crashed s);
-          sv_durability = durability.(s);
-          sv_converge = converge.(s);
-          sv_ok = ok;
+            Safety_checker.losses_allowed report ~delegate_crashed:(delegate_crashed s);
+          sv_durability = Option.get durability;
+          sv_converge = Option.get converge;
+          sv_ok = not failed;
         })
+      (Array.to_list verdicts)
   in
   (* Cross-shard audit over the global acknowledgement book: a committed
      cross-shard transaction is lost iff any of its write sub-transactions
@@ -323,67 +201,40 @@ let run config schedule =
         Db.Testable_tx.outcome_equal g.Sharded_system.g_outcome Db.Testable_tx.Committed)
       cross_acked
   in
-  let lost_parts =
+  let lost_on p wid =
+    List.exists (fun l -> l.Safety_checker.tx = wid) reports.(p).Safety_checker.lost
+  in
+  (* The committed cross-shard transactions with a write part [bad p wid],
+     each with the shards of those parts. *)
+  let with_parts bad =
     List.filter_map
       (fun g ->
         match
           List.filter_map
-            (fun (p, wid) ->
-              if
-                List.exists
-                  (fun l -> l.Safety_checker.tx = wid)
-                  reports.(p).Safety_checker.lost
-              then Some p
-              else None)
+            (fun (p, wid) -> if bad p wid then Some p else None)
             g.Sharded_system.g_write_parts
         with
         | [] -> None
         | ps -> Some (g.Sharded_system.g_tx, ps))
       cross_committed
   in
+  let lost_parts = with_parts lost_on in
   let forbidden =
-    List.filter_map
-      (fun (gtx, ps) ->
-        match
-          List.filter
-            (fun p ->
-              not
-                (Safety.lost_if reports.(p).Safety_checker.level
-                   ~group_failed:reports.(p).Safety_checker.group_failed
-                   ~delegate_crashed:(delegate_crashed p (Sharded_system.write_id gtx))))
-            ps
-        with
-        | [] -> None
-        | ps -> Some (gtx, ps))
-      lost_parts
+    with_parts (fun p wid ->
+        lost_on p wid
+        && not
+             (Safety.lost_if reports.(p).Safety_checker.level
+                ~group_failed:reports.(p).Safety_checker.group_failed
+                ~delegate_crashed:(delegate_crashed p wid)))
   in
+  (* A shard that lost the sub-transaction outright is already counted
+     (and classified) as a loss, not as broken atomicity. *)
   let broken_atomicity =
-    List.filter_map
-      (fun g ->
-        match
-          List.filter_map
-            (fun (p, wid) ->
-              let missing = ref false in
-              for l = 0 to sps - 1 do
-                if System.serving (sys p) l && not (System.committed_on (sys p) ~server:l wid)
-                then missing := true
-              done;
-              (* A shard that lost the sub-transaction outright is already
-                 counted (and classified) as a loss, not as broken
-                 atomicity. *)
-              if
-                !missing
-                && not
-                     (List.exists
-                        (fun l -> l.Safety_checker.tx = wid)
-                        reports.(p).Safety_checker.lost)
-              then Some p
-              else None)
-            g.Sharded_system.g_write_parts
-        with
-        | [] -> None
-        | ps -> Some (g.Sharded_system.g_tx, ps))
-      cross_committed
+    with_parts (fun p wid ->
+        (not (lost_on p wid))
+        && List.exists
+             (fun l -> System.serving (sys p) l && not (System.committed_on (sys p) ~server:l wid))
+             (List.init sps Fun.id))
   in
   let cross =
     {
@@ -408,19 +259,8 @@ let run config schedule =
 
 (* ---- storm generation ---- *)
 
-(* Directed building blocks for the shard-aware nemesis. *)
-
 let isolate_shard_events ~sps ~shard ~at ~hold =
-  let members = List.init sps (fun l -> (shard * sps) + l) in
-  [
-    { Schedule.at; kind = Schedule.Partition [ members ] };
-    { Schedule.at = St.span_add at hold; kind = Schedule.Heal };
-  ]
-
-let crash_shard_events ~sps ~shard ~at ~hold =
-  List.init sps (fun l -> { Schedule.at; kind = Schedule.Crash ((shard * sps) + l) })
-  @ List.init sps (fun l ->
-        { Schedule.at = St.span_add at hold; kind = Schedule.Recover ((shard * sps) + l) })
+  Check.Pipeline.cut ~at ~hold (List.init sps (fun l -> (shard * sps) + l))
 
 (* One random sharded storm. Fault families draw from split streams in a
    fixed order (the unsharded explorer's determinism argument): random
@@ -449,37 +289,18 @@ let random_schedule config rng ~max_events =
   let partition =
     match Sim.Rng.int part_rng 3 with
     | 0 -> []
-    | 1 when config.shards > 1 ->
-      let shard = Sim.Rng.int part_rng config.shards in
+    | family ->
+      let members =
+        if family = 1 && config.shards > 1 then
+          let shard = Sim.Rng.int part_rng config.shards in
+          List.init sps (fun l -> (shard * sps) + l)
+        else Check.Pipeline.minority part_rng ~servers:n
+      in
       let at = St.span_us (Sim.Rng.int part_rng (window_us + 1)) in
       let hold = St.span_us (1_000 + Sim.Rng.int part_rng window_us) in
-      isolate_shard_events ~sps ~shard ~at ~hold
-    | _ ->
-      let size = 1 + Sim.Rng.int part_rng (Int.max 1 ((n - 1) / 2)) in
-      let members =
-        List.sort_uniq Int.compare (List.init size (fun _ -> Sim.Rng.int part_rng n))
-      in
-      let at_us = Sim.Rng.int part_rng (window_us + 1) in
-      let hold_us = 1_000 + Sim.Rng.int part_rng window_us in
-      [
-        { Schedule.at = St.span_us at_us; kind = Schedule.Partition [ members ] };
-        { Schedule.at = St.span_us (at_us + hold_us); kind = Schedule.Heal };
-      ]
+      Check.Pipeline.cut ~at ~hold members
   in
-  let loss =
-    if Sim.Rng.int loss_rng 2 = 0 then []
-    else begin
-      let at_us = Sim.Rng.int loss_rng (window_us + 1) in
-      let prob = 0.2 +. Sim.Rng.float loss_rng 0.7 in
-      let len_us = 1_000 + Sim.Rng.int loss_rng window_us in
-      [
-        {
-          Schedule.at = St.span_us at_us;
-          kind = Schedule.Drop_window { prob; until = St.span_us (at_us + len_us) };
-        };
-      ]
-    end
-  in
+  let loss = Check.Pipeline.loss_window loss_rng ~window_us in
   Schedule.make ~servers:n ~txs:config.txs ~spacing:config.spacing (crashes @ partition @ loss)
 
 (* ---- storm search with shrinking ---- *)
@@ -500,51 +321,22 @@ type result = {
   counterexample : counterexample option;
 }
 
-(* Greedy shrink to a fixpoint, refusing candidates that change the server
-   count (the shard layout is part of the configuration, not the
-   schedule). *)
-let shrink_failing config schedule =
-  let shrink_runs = ref 0 in
-  let admissible c = c.Schedule.servers = schedule.Schedule.servers in
-  let rec fix s rounds =
-    match
-      List.find_opt
-        (fun c ->
-          admissible c
-          && begin
-               incr shrink_runs;
-               (run config c).failed
-             end)
-        (Schedule.shrink s)
-    with
-    | Some smaller -> fix smaller (rounds + 1)
-    | None -> (s, rounds)
-  in
-  let shrunk, rounds = fix schedule 0 in
-  (shrunk, rounds, !shrink_runs)
-
 let storm ?(max_events = 4) ~seed ~budget config =
   let rng = Sim.Rng.create seed in
-  let rec loop k =
-    if k >= budget then { config; seed; budget; runs = budget; counterexample = None }
-    else begin
-      let schedule = random_schedule config rng ~max_events in
-      let o = run config schedule in
-      if o.failed then begin
-        let shrunk, shrink_rounds, shrink_runs = shrink_failing config schedule in
-        let outcome = run config shrunk in
-        {
-          config;
-          seed;
-          budget;
-          runs = k + 1;
-          counterexample = Some { original = schedule; shrunk; shrink_rounds; shrink_runs; outcome };
-        }
-      end
-      else loop (k + 1)
-    end
+  let storms = Array.init (Int.max 0 budget) (fun _ -> random_schedule config rng ~max_events) in
+  let fails schedule = (run config schedule).failed in
+  let runs, counterexample =
+    match Check.Pipeline.first_failing ~fails storms with
+    | None -> (Array.length storms, None)
+    | Some k ->
+      let original = storms.(k) in
+      (* The shard layout is part of the configuration, not the schedule. *)
+      let admissible c = c.Schedule.servers = original.Schedule.servers in
+      let shrunk, shrink_rounds, shrink_runs = Check.Pipeline.shrink ~admissible ~fails original in
+      let outcome = run config shrunk in
+      (k + 1, Some { original; shrunk; shrink_rounds; shrink_runs; outcome })
   in
-  loop 0
+  { config; seed; budget; runs; counterexample }
 
 (* ---- printing ---- *)
 

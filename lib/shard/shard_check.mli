@@ -1,20 +1,15 @@
-(** Fault-injection checking for sharded deployments (docs/SHARDING.md).
+(** The sharded checker (docs/SHARDING.md): the {!Sharded_system}
+    deployment of {!Check.Pipeline}, one replica group per shard, over the
+    {e global} server space ([shards * servers-per-shard] servers).
 
-    Runs a {!Sharded_system} under a {!Check.Schedule} over the {e global}
-    server space ([shards * servers-per-shard] servers; global index [gi]
-    is server [gi mod sps] of shard [gi / sps]), decomposing each fault
-    onto the shard it touches. Partitions additionally derive cross-shard
-    link blocks: shard [s] is represented by server [s * sps], and two
+    Partitions additionally derive cross-shard link blocks, applied at the
+    window barriers: shard [s] is represented by server [s * sps], and two
     shards exchange envelopes only while their representatives share a
-    partition group — so a partition isolating one whole replica group
-    cuts every cross-shard link of that shard while its own network stays
-    intact, and a cut straight across the groups severs both intra- and
-    cross-shard traffic. Link faults act at window granularity (applied at
-    the exchange barriers).
+    partition group — so isolating one whole replica group cuts every
+    cross-shard link of that shard while its own network stays intact.
 
-    The oracle aggregates per shard — safety report, Table-3 loss
-    classification, durability and convergence each run against every
-    shard's [System] — and adds two global checks over the cross-shard
+    The oracle stack runs in its storage+nemesis setting (durability and
+    convergence per shard), plus two global checks over the cross-shard
     acknowledgement book:
     {ul
     {- {b loss}: a committed cross-shard transaction is lost iff any of
@@ -31,7 +26,6 @@ type config = {
   params : Workload.Params.t;
       (** per-shard parameters ([servers] = replica-group size of one
           shard, [items] = global key space), as in {!Sharded_system}. *)
-  fd : Gcs.Failure_detector.config;
   txs : int;
   spacing : Sim.Sim_time.span;
   cross_every : int;
@@ -39,8 +33,6 @@ type config = {
           range and is 2PC-certified; [0] means single-shard only. *)
   horizon : Sim.Sim_time.span;
   quiescence : Sim.Sim_time.span;
-  system_seed : int64;
-  link : Sim.Sim_time.span;
 }
 
 val default_params : Workload.Params.t
@@ -97,15 +89,6 @@ val isolate_shard_events :
 (** A partition cutting every cross-shard link of one shard's replica
     group (its own network intact), healed after [hold]. *)
 
-val crash_shard_events :
-  sps:int ->
-  shard:int ->
-  at:Sim.Sim_time.span ->
-  hold:Sim.Sim_time.span ->
-  Check.Schedule.event list
-(** Crash a whole shard's replica group at [at]; recover it after
-    [hold]. *)
-
 val random_schedule : config -> Sim.Rng.t -> max_events:int -> Check.Schedule.t
 (** One random sharded storm: crashes/recoveries over the global servers,
     then one of nothing / a whole-shard isolation / a cut across the
@@ -129,14 +112,11 @@ type result = {
   counterexample : counterexample option;
 }
 
-val shrink_failing : config -> Check.Schedule.t -> Check.Schedule.t * int * int
-(** Greedily shrink a failing schedule to a fixpoint (server count held
-    constant); returns the shrunk schedule, rounds, and re-runs spent. *)
-
 val storm : ?max_events:int -> seed:int64 -> budget:int -> config -> result
-(** Run up to [budget] random storms, stopping (and shrinking) at the
-    first failure. Each run is internally parallel across shards; the
-    storm loop itself is sequential. *)
+(** Run up to [budget] random storms through {!Check.Pipeline.first_failing},
+    stopping at the first failure and shrinking it with the server count
+    held. Runs fan out over the domain pool; each run keeps its shards on
+    one domain, so domains never nest. *)
 
 (** {1 Printing} *)
 

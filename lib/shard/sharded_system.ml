@@ -148,24 +148,9 @@ let metrics t i = t.states.(i).ss_metrics
 let xregistry t i = t.states.(i).ss_xreg
 let now t = Sim.Engine.now (engine_of t 0)
 
-let locate t gi =
-  let sps = servers_per_shard t in
-  if gi < 0 || gi >= n_servers t then invalid_arg "Sharded_system.locate: server out of range";
-  (gi / sps, gi mod sps)
-
-let crash t gi =
-  let s, l = locate t gi in
-  System.crash (sys t s) l
-
-let recover t gi =
-  let s, l = locate t gi in
-  System.recover (sys t s) l
-
 let set_warmup t at = Array.iter (fun s -> Workload.Metrics.set_warmup s.ss_metrics at) t.states
-let group_failed t = Array.exists (fun s -> System.group_failed s.ss_sys) t.states
 
 let block_link t ~src ~dst = Hashtbl.replace t.blocked (src, dst) ()
-let unblock_link t ~src ~dst = Hashtbl.remove t.blocked (src, dst)
 let clear_blocked t = Hashtbl.reset t.blocked
 
 (* ---- cross-shard messaging ---- *)

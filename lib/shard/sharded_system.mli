@@ -74,9 +74,6 @@ val map : t -> Shard_map.t
 val sys : t -> int -> Groupsafe.System.t
 val engine_of : t -> int -> Sim.Engine.t
 
-val locate : t -> int -> int * int
-(** Global server index to [(shard, local index)]. *)
-
 (** {1 Load} *)
 
 val submit :
@@ -120,27 +117,15 @@ val now : t -> Sim.Sim_time.t
 
 (** {1 Cross-shard link faults} *)
 
-(** Block/unblock the directed cross-shard link [(src, dst)]: blocked
-    envelopes are dropped at the exchange (counted as
+(** Block the directed cross-shard link [(src, dst)], or unblock them all:
+    blocked envelopes are dropped at the exchange (counted as
     [xshard.link_dropped] on the destination). Call only between runs or
-    from [on_exchange] — link faults take effect at window granularity. *)
+    from [on_exchange] — link faults take effect at window granularity.
+    Server and replica-group faults go through {!Check.Pipeline.apply}. *)
 
 val block_link : t -> src:int -> dst:int -> unit
 
-val unblock_link : t -> src:int -> dst:int -> unit
 val clear_blocked : t -> unit
-
-(** {1 Server faults} *)
-
-val crash : t -> int -> unit
-(** Crash by global server index (between runs; during a run, schedule
-    {!Groupsafe.System.crash} on the owning shard's engine). *)
-
-val recover : t -> int -> unit
-
-val group_failed : t -> bool
-(** Whether any shard's replica group failed (majority down) at some
-    point. *)
 
 (** {1 Books} *)
 

@@ -484,6 +484,49 @@ let test_duplicate_delivery_deduplicated () =
   check_int "each server decides the duplicated tx once" 3
     (count_occurrences "decide tx=0" o.E.trace)
 
+(* ---- The shared shrinker, against a synthetic oracle ---- *)
+
+(* Shrink against a synthetic [fails], recording every candidate run. *)
+let shrink_recording ~admissible ~fails s =
+  let ran = ref [] in
+  let shrunk, _, runs =
+    Check.Pipeline.shrink ~admissible
+      ~fails:(fun c ->
+        ran := c :: !ran;
+        fails c)
+      s
+  in
+  (shrunk, !ran, runs)
+
+let test_shrink_fixed_servers () =
+  (* Every schedule fails, so only admissibility can stop the shrink. *)
+  let s = S.make ~servers:3 ~txs:2 ~spacing:(ms 5.) [ crash 0 (ms 2.); crash 2 (ms 4.) ] in
+  let fails _ = true in
+  let free, _, _ = shrink_recording ~admissible:(fun _ -> true) ~fails s in
+  check_bool "unconstrained, the shrink removes servers" true (free.S.servers < 3);
+  let fixed c = c.S.servers = s.S.servers in
+  let shrunk, ran, runs = shrink_recording ~admissible:fixed ~fails s in
+  check_int "server count held" 3 shrunk.S.servers;
+  check_int "every run counted" (List.length ran) runs;
+  check_bool "no fewer-servers candidate was run" true (List.for_all fixed ran);
+  check_int "down to no events" 0 (S.event_count shrunk);
+  check_int "down to one transaction" 1 shrunk.S.txs
+
+let test_shrink_fair_only () =
+  (* The synthetic bug needs S0 to crash: dropping the recovery keeps it
+     failing, but leaves an unfair schedule. *)
+  let horizon = ms 60. in
+  let s = S.make ~servers:3 ~txs:2 ~spacing:(ms 5.) [ crash 0 (ms 2.); recover 0 (ms 10.) ] in
+  let fails c = List.exists (fun e -> e.S.kind = S.Crash 0) c.S.events in
+  let recovered c = List.exists (fun e -> e.S.kind = S.Recover 0) c.S.events in
+  let free, _, _ = shrink_recording ~admissible:(fun _ -> true) ~fails s in
+  check_bool "unconstrained, the shrink drops the recovery" false (recovered free);
+  let shrunk, ran, _ = shrink_recording ~admissible:(S.fair ~horizon) ~fails s in
+  check_bool "no unfair candidate was run" true (List.for_all (S.fair ~horizon) ran);
+  check_bool "shrunk schedule is fair" true (S.fair ~horizon shrunk);
+  check_bool "the recovery is kept" true (recovered shrunk);
+  check_bool "the shrink still made progress" true (S.compare shrunk s <> 0)
+
 let () =
   Alcotest.run "check"
     [
@@ -535,5 +578,10 @@ let () =
           Alcotest.test_case "validator" `Quick test_fairness_validator;
           Alcotest.test_case "repair makes any schedule fair" `Quick test_repair_fair;
           Alcotest.test_case "serialize/parse round-trip" `Quick test_serialize_parse_roundtrip;
+        ] );
+      ( "shrinker",
+        [
+          Alcotest.test_case "server count held when fixed" `Quick test_shrink_fixed_servers;
+          Alcotest.test_case "unfair candidates refused" `Quick test_shrink_fair_only;
         ] );
     ]

@@ -17,56 +17,17 @@ module S = Check.Schedule
 
 let check_bool = Alcotest.(check bool)
 let corpus_dir = "liveness_corpus"
-let read_file path = In_channel.with_open_text path In_channel.input_all
-
-(* Replay directives: `# key=value` comment lines (prose comment lines
-   carry no `=`, or only inside phrases whose "key" has spaces). *)
-let directives text =
-  List.filter_map
-    (fun line ->
-      let line = String.trim line in
-      if String.length line > 1 && line.[0] = '#' then
-        match String.index_opt line '=' with
-        | Some eq ->
-          let key = String.trim (String.sub line 1 (eq - 1)) in
-          let value = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
-          if key = "" || String.contains key ' ' then None else Some (key, value)
-        | None -> None
-      else None)
-    (String.split_on_char '\n' text)
-
-let technique_of file = function
-  | "group-safe" -> System.Dsm Dsm_replica.Group_safe_mode
-  | "two-safe" -> System.Dsm Dsm_replica.Two_safe_mode
-  | "eager-2pc" -> System.Two_pc
-  | other -> Alcotest.fail (file ^ ": unknown technique directive " ^ other)
-
-let break_all f sys =
-  for i = 0 to System.n_servers sys - 1 do
-    f sys i
-  done
-
 let mutation_of file = function
-  | "no-accept-retransmit" -> break_all System.break_no_accept_retransmit
-  | "early-decision" -> break_all System.break_early_decision
+  | "no-accept-retransmit" -> Corpus.break_all System.break_no_accept_retransmit
+  | "early-decision" -> Corpus.break_all System.break_early_decision
   | other -> Alcotest.fail (file ^ ": unknown mutate directive " ^ other)
 
-let corpus_files () =
-  Sys.readdir corpus_dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".sched")
-  |> List.sort compare
-
 let replay_entry file =
-  let text = read_file (Filename.concat corpus_dir file) in
-  let dirs = directives text in
-  let find key = List.assoc_opt key dirs in
+  let find, schedule = Corpus.load corpus_dir file in
   let technique =
     match find "technique" with
-    | Some t -> technique_of file t
+    | Some t -> Corpus.technique_of file t
     | None -> Alcotest.fail (file ^ ": missing technique directive")
-  in
-  let schedule =
-    match S.parse text with Ok s -> s | Error e -> Alcotest.fail (file ^ ": " ^ e)
   in
   match (find "predicate", find "expect") with
   | Some "any-loss", Some "fail" ->
@@ -94,7 +55,7 @@ let replay_entry file =
       check_bool (file ^ ": re-broken tree fails again") true broken.E.failed)
 
 let test_corpus () =
-  let files = corpus_files () in
+  let files = Corpus.files corpus_dir in
   check_bool "corpus holds at least three schedules" true (List.length files >= 3);
   List.iter replay_entry files
 
@@ -117,10 +78,10 @@ let rediscover technique mutate =
 let test_rediscover_stuck_accept () =
   rediscover
     (System.Dsm Dsm_replica.Two_safe_mode)
-    (break_all System.break_no_accept_retransmit)
+    (Corpus.break_all System.break_no_accept_retransmit)
 
 let test_rediscover_early_decision () =
-  rediscover System.Two_pc (break_all System.break_early_decision)
+  rediscover System.Two_pc (Corpus.break_all System.break_early_decision)
 
 (* ---- Fairness-rejection reporting (no silent regeneration) ---- *)
 

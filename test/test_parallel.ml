@@ -185,6 +185,29 @@ let test_explorer_storms_identical_across_jobs () =
   Alcotest.(check string) "group-safe verdict byte-identical" gs_1 gs_4;
   Alcotest.(check string) "2-safe verdict byte-identical" ts_1 ts_4
 
+let test_explorer_exhaustive_identical_across_jobs () =
+  (* The Fig. 5 loss is found in the bounded-exhaustive phase, which
+     replays over the pool like the storms do. *)
+  let fig5 jobs =
+    Pool.set_default_jobs jobs;
+    let module E = Check.Explorer in
+    let cfg =
+      E.default_config ~predicate:E.Any_loss
+        (Groupsafe.System.Dsm Groupsafe.Dsm_replica.Group_safe_mode)
+    in
+    E.render_result (E.explore ~seed:42L ~budget:500 cfg)
+  in
+  let v1 = fig5 1 in
+  let v4 = fig5 4 in
+  Pool.set_default_jobs 1;
+  let exhaustive = "(exhaustive phase)" in
+  let n = String.length exhaustive in
+  check_bool "found in the exhaustive phase" true
+    (List.exists
+       (fun i -> String.sub v1 i n = exhaustive)
+       (List.init (String.length v1 - n + 1) Fun.id));
+  Alcotest.(check string) "Fig. 5 rediscovery byte-identical" v1 v4
+
 (* ---- Sharded determinism ---- *)
 
 (* The sharded runner parallelises ACROSS shard domains inside one run
@@ -263,5 +286,7 @@ let () =
           Alcotest.test_case "sharded run across jobs" `Quick test_sharded_identical_across_jobs;
           Alcotest.test_case "shard storms across jobs" `Quick
             test_shard_storms_identical_across_jobs;
+          Alcotest.test_case "explorer exhaustive phase across jobs" `Quick
+            test_explorer_exhaustive_identical_across_jobs;
         ] );
     ]

@@ -340,48 +340,47 @@ let test_schedule_vocabulary_guards () =
            (S.make ~servers:6 ~txs:1 ~spacing:(st 5000)
               [ { S.at = st 1000; kind = S.Delay (0, st 1000) } ])))
 
+let test_repartition_replaces_every_cut () =
+  (* A new partition replaces the previous one in every shard, as
+     Network.partition does: a shard the second cut does not name is whole
+     again, not left with the first cut. *)
+  let t =
+    Shard.Sharded_system.create
+      (Shard.Sharded_system.config ~trace_enabled:false ~shards:2 ~params:SC.default_params
+         two_safe)
+  in
+  let deployment =
+    { Check.Pipeline.groups = Array.init 2 (Shard.Sharded_system.sys t); holds = [||]; link = None }
+  in
+  Check.Pipeline.apply deployment
+    (S.make ~servers:6 ~txs:0 ~spacing:(st 5000)
+       [
+         { S.at = st 10000; kind = S.Partition [ [ 0 ] ] };
+         { S.at = st 20000; kind = S.Partition [ [ 4 ] ] };
+       ]);
+  let shard0 = Shard.Sharded_system.sys t 0 in
+  let connected () =
+    Net.Network.reachable (System.network shard0) (System.server_id shard0 0)
+      (System.server_id shard0 1)
+  in
+  Shard.Sharded_system.run_for ~jobs:1 t (st 15000);
+  check_bool "the first cut isolates S0 of shard 0" false (connected ());
+  Shard.Sharded_system.run_for ~jobs:1 t (st 15000);
+  check_bool "a cut in shard 1 reconnects S0 and S1 of shard 0" true (connected ())
+
 (* ---- Corpus replay ---- *)
 
 let corpus_dir = "shard_corpus"
-let read_file path = In_channel.with_open_text path In_channel.input_all
-
-let directives text =
-  List.filter_map
-    (fun line ->
-      let line = String.trim line in
-      if String.length line > 1 && line.[0] = '#' then
-        match String.index_opt line '=' with
-        | Some eq ->
-          let key = String.trim (String.sub line 1 (eq - 1)) in
-          let value = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
-          if key = "" || String.contains key ' ' then None else Some (key, value)
-        | None -> None
-      else None)
-    (String.split_on_char '\n' text)
-
-let technique_of file = function
-  | "group-safe" -> group_safe
-  | "two-safe" -> two_safe
-  | "eager-2pc" -> System.Two_pc
-  | other -> Alcotest.fail (file ^ ": unknown technique directive " ^ other)
-
 let replay file =
-  let text = read_file (Filename.concat corpus_dir file) in
-  let dirs = directives text in
-  let find key = List.assoc_opt key dirs in
+  let find, schedule = Corpus.load corpus_dir file in
   let required key =
     match find key with
     | Some v -> v
     | None -> Alcotest.fail (file ^ ": missing directive " ^ key)
   in
-  let technique = technique_of file (required "technique") in
+  let technique = Corpus.technique_of file (required "technique") in
   let shards = int_of_string (required "shards") in
   let cross_every = int_of_string (required "cross_every") in
-  let schedule =
-    match S.parse text with
-    | Ok s -> s
-    | Error e -> Alcotest.fail (file ^ ": " ^ e)
-  in
   let cfg = SC.default_config ~shards ~cross_every technique in
   let o = SC.run cfg schedule in
   (match required "expect" with
@@ -391,22 +390,14 @@ let replay file =
   o
 
 let test_corpus () =
-  let files =
-    Sys.readdir corpus_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".sched")
-    |> List.sort compare
-  in
+  let files = Corpus.files corpus_dir in
   check_bool "corpus holds at least three schedules" true (List.length files >= 3);
   List.iter (fun f -> ignore (replay f)) files
 
 let test_corpus_shrunk_counterexample () =
   (* The committed counterexample must still be shrunk: dropping any
      single event makes the run pass, so the regression is minimal. *)
-  let file = "whole-shard-crash.sched" in
-  let text = read_file (Filename.concat corpus_dir file) in
-  let schedule =
-    match S.parse text with Ok s -> s | Error e -> Alcotest.fail e
-  in
+  let _, schedule = Corpus.load corpus_dir "whole-shard-crash.sched" in
   let cfg = SC.default_config ~shards:2 ~cross_every:2 group_safe in
   check_bool "replay still fails" true (SC.run cfg schedule).SC.failed;
   List.iteri
@@ -426,8 +417,7 @@ let test_corpus_shrunk_counterexample () =
 let test_replay_emits_same_shard_counters () =
   (* A replayed counterexample must emit exactly the counters of the
      direct run: the registry is part of the deterministic outcome. *)
-  let text = read_file (Filename.concat corpus_dir "isolate-shard.sched") in
-  let schedule = match S.parse text with Ok s -> s | Error e -> Alcotest.fail e in
+  let _, schedule = Corpus.load corpus_dir "isolate-shard.sched" in
   let cfg = SC.default_config ~shards:2 ~cross_every:2 two_safe in
   let export o =
     Obs.Export.to_json [ { Obs.Export.name = "shard-replay"; registry = o.SC.registry } ]
@@ -486,6 +476,8 @@ let () =
             test_cross_group_cut_two_safe;
           Alcotest.test_case "small storm budget, 2-safe clean" `Quick test_storm_two_safe_clean;
           Alcotest.test_case "vocabulary guards" `Quick test_schedule_vocabulary_guards;
+          Alcotest.test_case "a new partition replaces every shard's cut" `Quick
+            test_repartition_replaces_every_cut;
         ] );
       ( "corpus",
         [

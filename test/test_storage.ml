@@ -178,50 +178,17 @@ let test_tamper_last () =
 (* ---- Replay: the storage corpus ---- *)
 
 let corpus_dir = "storage_corpus"
-let read_file path = In_channel.with_open_text path In_channel.input_all
-
-let directives text =
-  List.filter_map
-    (fun line ->
-      let line = String.trim line in
-      if String.length line > 1 && line.[0] = '#' then
-        match String.index_opt line '=' with
-        | Some eq ->
-          let key = String.trim (String.sub line 1 (eq - 1)) in
-          let value = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
-          if key = "" || String.contains key ' ' then None else Some (key, value)
-        | None -> None
-      else None)
-    (String.split_on_char '\n' text)
-
-let technique_of file = function
-  | "group-safe" -> System.Dsm Dsm_replica.Group_safe_mode
-  | "two-safe" -> System.Dsm Dsm_replica.Two_safe_mode
-  | "eager-2pc" -> System.Two_pc
-  | "one-safe" -> System.Lazy Lazy_replica.One_safe_mode
-  | other -> Alcotest.fail (file ^ ": unknown technique directive " ^ other)
-
-let break_all f sys =
-  for i = 0 to System.n_servers sys - 1 do
-    f sys i
-  done
-
 let verdict_of file (o : E.outcome) =
   match o.E.durability with
   | Some v -> v
   | None -> Alcotest.fail (file ^ ": durability verdict missing in storage mode")
 
 let replay_entry file =
-  let text = read_file (Filename.concat corpus_dir file) in
-  let dirs = directives text in
-  let find key = List.assoc_opt key dirs in
+  let find, schedule = Corpus.load corpus_dir file in
   let technique =
     match find "technique" with
-    | Some t -> technique_of file t
+    | Some t -> Corpus.technique_of file t
     | None -> Alcotest.fail (file ^ ": missing technique directive")
-  in
-  let schedule =
-    match S.parse text with Ok s -> s | Error e -> Alcotest.fail (file ^ ": " ^ e)
   in
   let cfg = E.default_config ~storage:true technique in
   let o = E.run cfg schedule in
@@ -254,17 +221,13 @@ let replay_entry file =
   | None -> ()
   | Some "skip-checksum" ->
     let broken =
-      E.run { cfg with E.mutate = break_all System.break_skip_checksum } schedule
+      E.run { cfg with E.mutate = Corpus.break_all System.break_skip_checksum } schedule
     in
     check_bool (file ^ ": skip-checksum re-break fails again") true broken.E.failed
   | Some other -> Alcotest.fail (file ^ ": unknown mutate directive " ^ other)
 
 let test_corpus () =
-  let files =
-    Sys.readdir corpus_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".sched")
-    |> List.sort compare
-  in
+  let files = Corpus.files corpus_dir in
   check_bool "corpus holds at least three schedules" true (List.length files >= 3);
   List.iter replay_entry files
 
@@ -346,7 +309,7 @@ let test_amnesia_via_new_path () =
     ((verdict_of "amnesia-clean" clean).Check.Durability.lost = []);
   let broken =
     E.run
-      { cfg with E.mutate = break_all System.break_amnesiac }
+      { cfg with E.mutate = Corpus.break_all System.break_amnesiac }
       (S.make ~servers:3 ~txs:2 ~spacing:(us 5_000) events)
   in
   let v = verdict_of "amnesia-broken" broken in
@@ -395,7 +358,7 @@ let test_lie_two_safe () =
 let test_rediscover_skip_checksum () =
   let cfg =
     E.default_config ~storage:true
-      ~mutate:(break_all System.break_skip_checksum)
+      ~mutate:(Corpus.break_all System.break_skip_checksum)
       (System.Dsm Dsm_replica.Group_safe_mode)
   in
   let r = E.explore ~seed:42L ~budget:100 ~max_random_events:3 cfg in
