@@ -495,7 +495,8 @@ type stall_outcome = {
   ok : bool;
 }
 
-let minority_stall ?(cut = sec 2.) config =
+let minority_stall config =
+  let cut = sec 2. in
   let n = config.params.Workload.Params.servers in
   if n < 3 then invalid_arg "Explorer.minority_stall: needs at least 3 servers";
   (* Settle, cut S0 off, then offer work to both sides: uniform delivery
@@ -558,7 +559,8 @@ type takeover_outcome = {
    throughout, so the liveness oracle owes a decision for every round's
    transaction — a successor that never re-drives the dead leader's
    in-flight slots wedges them all. *)
-let leader_takeover ?(kills = 3) config =
+let leader_takeover config =
+  let kills = 3 in
   let n = config.params.Workload.Params.servers in
   if n < 3 then invalid_arg "Explorer.leader_takeover: needs at least 3 servers";
   let sys = settled config in
@@ -621,7 +623,8 @@ type torn_outcome = {
    truncated the half-written tail frame — a non-empty repair report per
    round, and the durability oracle's repaired = scanned bookkeeping
    intact at the end. *)
-let torn_leader_tail ?(rounds = 3) config =
+let torn_leader_tail config =
+  let rounds = 3 in
   let n = config.params.Workload.Params.servers in
   if n < 3 then invalid_arg "Explorer.torn_leader_tail: needs at least 3 servers";
   let sys = settled config in
@@ -678,7 +681,8 @@ type lie_outcome = {
    flagged-but-allowed window), group-safe's by the group failure, and
    2-safe's only by the total storage betrayal — so the oracle must
    report the loss yet stay clean for all of them. *)
-let fsync_lie_group_crash ?(txs = 2) config =
+let fsync_lie_group_crash config =
+  let txs = 2 in
   let n = config.params.Workload.Params.servers in
   let sys = settled config in
   for i = 0 to n - 1 do

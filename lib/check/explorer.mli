@@ -197,10 +197,10 @@ type stall_outcome = {
   ok : bool;  (** stalled, majority progressed, resumed, converged. *)
 }
 
-val minority_stall : ?cut:Sim.Sim_time.span -> config -> stall_outcome
+val minority_stall : config -> stall_outcome
 (** [minority_stall config] settles the group for 1 s, partitions server 0
-    away, submits one transaction to each side, holds the cut for [cut]
-    (default 2 s), heals, waits [config.quiescence] and certifies. Under
+    away, submits one transaction to each side, holds the cut for 2 s,
+    heals, waits [config.quiescence] and certifies. Under
     uniform delivery the minority must acknowledge and apply {e nothing}
     while cut off, then catch up and answer after the heal. Meaningful for
     the broadcast-based (Dsm) techniques; eager 2PC cannot commit on
@@ -222,9 +222,9 @@ type takeover_outcome = {
           decided, converged. *)
 }
 
-val leader_takeover : ?kills:int -> config -> takeover_outcome
-(** [leader_takeover config] settles the group for 1 s, then [kills]
-    (default 3) times over: finds the current ordering leader, submits a
+val leader_takeover : config -> takeover_outcome
+(** [leader_takeover config] settles the group for 1 s, then three
+    times over: finds the current ordering leader, submits a
     transaction through a {e different} delegate (which stays up, so the
     liveness oracle owes its decision), crashes the leader half a
     millisecond later — mid-broadcast — waits for a successor, revives
@@ -247,9 +247,9 @@ type torn_outcome = {
           it, and the durability verdict is clean. *)
 }
 
-val torn_leader_tail : ?rounds:int -> config -> torn_outcome
-(** [torn_leader_tail config] settles the group for 1 s, then [rounds]
-    (default 3) times over: submits a transaction through the current
+val torn_leader_tail : config -> torn_outcome
+(** [torn_leader_tail config] settles the group for 1 s, then three
+    times over: submits a transaction through the current
     ordering leader, waits for its commit record to reach the WAL, arms a
     torn write on that leader and crashes it — mutilating the newest
     durable record into a half-written tail frame — recovers it, and
@@ -271,9 +271,9 @@ type lie_outcome = {
           group-safe, total storage betrayal at 2-safe) permits it. *)
 }
 
-val fsync_lie_group_crash : ?txs:int -> config -> lie_outcome
+val fsync_lie_group_crash : config -> lie_outcome
 (** [fsync_lie_group_crash config] settles the group for 1 s, arms a lying
-    fsync on {e every} server, submits [txs] (default 2) transactions
+    fsync on {e every} server, submits two transactions
     through delegate 0, lets acks and propagation land, crashes the whole
     group, recovers it and certifies durability. Every level loses the
     acked transactions (their records were volatile on every disk); what

@@ -264,9 +264,7 @@ let handle_decision_req t src tx_id =
          as a duplicate). Staying silent is safe — the requester polls
          again, and the record is durable by the time we respond to the
          client. *)
-      match
-        List.find_opt (fun r -> r.Db.Db_engine.w_tx = tx_id) (Db.Db_engine.wal_records (db t))
-      with
+      match Db.Db_engine.durable_record (db t) tx_id with
       | Some r ->
         send t src (Tpc_decision { tx_id; commit = true; writes = r.Db.Db_engine.w_writes })
       | None -> ()

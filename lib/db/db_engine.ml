@@ -85,6 +85,14 @@ type t = {
   mutable corrupt_detected : int;
   mutable sequence_gaps : int;
   mutable last_repair : repair_report option;
+  (* [wal_records] indexed by transaction: the first clean record of each
+     id. Fed lazily with the frames that became durable since the last
+     lookup ([index_pos] of them are in); rebuilt from scratch when the
+     log was rewritten other than by an append or [verify] flipped. *)
+  index : (Transaction.id, wal_record) Hashtbl.t;
+  mutable index_pos : int;
+  mutable index_rewrites : int;
+  mutable index_verify : bool;
   c_torn_repaired : Obs.Registry.counter;
   c_corrupt_detected : Obs.Registry.counter;
   c_degraded : Obs.Registry.counter;
@@ -106,9 +114,31 @@ let decode_frames t frames =
 
 let wal_frames t = Store.Stable_storage.durable_records t.wal
 
+let to_wal_record (r : Wal_codec.record) = { w_tx = r.tx; w_decision = r.decision; w_writes = r.writes }
+
 let wal_records t =
   let records, _repairs = decode_frames t (wal_frames t) in
-  List.map (fun (r : Wal_codec.record) -> { w_tx = r.tx; w_decision = r.decision; w_writes = r.writes }) records
+  List.map to_wal_record records
+
+let sync_index t =
+  let rewrites = Store.Stable_storage.rewrites t.wal in
+  if rewrites <> t.index_rewrites || t.verify <> t.index_verify then begin
+    Hashtbl.reset t.index;
+    t.index_pos <- 0;
+    t.index_rewrites <- rewrites;
+    t.index_verify <- t.verify
+  end;
+  List.iter
+    (fun frame ->
+      match Wal_codec.decode ~verify:t.verify frame with
+      | Ok r -> if not (Hashtbl.mem t.index r.tx) then Hashtbl.add t.index r.tx (to_wal_record r)
+      | Error _ -> ())
+    (Store.Stable_storage.durable_records_from t.wal t.index_pos);
+  t.index_pos <- Store.Stable_storage.durable_count t.wal
+
+let durable_record t tx =
+  sync_index t;
+  Hashtbl.find_opt t.index tx
 
 let rec remove_first x = function
   | [] -> []
@@ -225,6 +255,10 @@ let create ?registry engine ~process ~cpus ~disks ~rng config =
       corrupt_detected = 0;
       sequence_gaps = 0;
       last_repair = None;
+      index = Hashtbl.create 64;
+      index_pos = 0;
+      index_rewrites = 0;
+      index_verify = true;
       c_torn_repaired = Obs.Registry.counter registry "wal.torn_repaired";
       c_corrupt_detected = Obs.Registry.counter registry "wal.corrupt_detected";
       c_degraded = Obs.Registry.counter registry "disk.degraded";

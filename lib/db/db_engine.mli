@@ -166,6 +166,14 @@ val wal_records : t -> wal_record list
     checkers). Damaged frames are skipped, not repaired — that is
     {!recover_now}'s job. *)
 
+val durable_record : t -> Transaction.id -> wal_record option
+(** [durable_record t tx] is the first record of [tx] in {!wal_records},
+    if any, answered from an index instead of a scan: only the frames that
+    became durable since the previous call are decoded, and the index is
+    rebuilt whenever the log changed other than by an append (a repair, a
+    wipe, a torn or rotted tail, lied records dropped by a crash) or
+    {!break_skip_checksum} changed what decodes. *)
+
 val inject : t -> fault -> unit
 (** Arm (or, for [Wipe_wal] and [Corrupt_record], immediately perform) a
     storage fault. See {!fault}. *)

@@ -4,41 +4,46 @@ type request = { r_tx : int; r_mode : mode; r_granted : unit -> unit }
 
 type item_locks = { mutable holders : (int * mode) list; queue : request Queue.t }
 
+(* Items and transactions are ints: a specialised table compares keys
+   inline rather than through the polymorphic compare. Nothing iterates
+   these tables, so their order never shows. *)
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
-  items : (int, item_locks) Hashtbl.t;
-  held_by : (int, int list ref) Hashtbl.t;  (* tx -> items held *)
-  queued_on : (int, int list ref) Hashtbl.t;  (* tx -> items with a queued request *)
+  items : item_locks Itbl.t;
+  held_by : int list ref Itbl.t;  (* tx -> items held *)
+  queued_on : int list ref Itbl.t;  (* tx -> items with a queued request *)
   mutable waiting : int;
   mutable deadlocks : int;
 }
 
 let create () =
   {
-    items = Hashtbl.create 256;
-    held_by = Hashtbl.create 64;
-    queued_on = Hashtbl.create 64;
+    items = Itbl.create 256;
+    held_by = Itbl.create 64;
+    queued_on = Itbl.create 64;
     waiting = 0;
     deadlocks = 0;
   }
 
 let item_locks t item =
-  match Hashtbl.find_opt t.items item with
+  match Itbl.find_opt t.items item with
   | Some l -> l
   | None ->
     let l = { holders = []; queue = Queue.create () } in
-    Hashtbl.replace t.items item l;
+    Itbl.replace t.items item l;
     l
 
 let multiset_add tbl key v =
-  match Hashtbl.find_opt tbl key with
+  match Itbl.find_opt tbl key with
   | Some l -> if not (List.mem v !l) then l := v :: !l
-  | None -> Hashtbl.replace tbl key (ref [ v ])
+  | None -> Itbl.replace tbl key (ref [ v ])
 
 let multiset_remove tbl key v =
-  match Hashtbl.find_opt tbl key with
+  match Itbl.find_opt tbl key with
   | Some l ->
     l := List.filter (fun x -> x <> v) !l;
-    if !l = [] then Hashtbl.remove tbl key
+    if !l = [] then Itbl.remove tbl key
   | None -> ()
 
 let held_mode locks tx = List.assoc_opt tx locks.holders
@@ -65,36 +70,34 @@ let dispatch t item locks =
   in
   loop ()
 
-(* Transactions that a queued-or-new request of [tx] on [item] waits behind:
-   incompatible holders plus everything already queued. *)
-let blockers locks tx =
-  let holder_blockers =
-    List.filter_map (fun (h, _) -> if h <> tx then Some h else None) locks.holders
-  in
-  Queue.fold (fun acc r -> if r.r_tx <> tx then r.r_tx :: acc else acc) holder_blockers locks.queue
-
-let edges_of t waiter =
-  match Hashtbl.find_opt t.queued_on waiter with
-  | None -> []
-  | Some items ->
-    List.concat_map
-      (fun item ->
-        match Hashtbl.find_opt t.items item with
-        | Some locks -> blockers locks waiter
-        | None -> [])
-      !items
-
+(* Would a new request of [tx] on [item] close a cycle in the waits-for
+   graph? It waits behind the item's other holders and everything already
+   queued there; a queued transaction waits behind the same on every item
+   it is queued on. A depth-first search over those edges, walking the
+   holder lists and queues in place instead of materialising edge lists;
+   reachability does not depend on the order edges are tried. *)
 let would_deadlock t ~tx ~item =
-  let visited = Hashtbl.create 16 in
-  let rec reaches_tx node =
+  let visited = Itbl.create 16 in
+  let rec behind locks waiter =
+    List.exists (fun (h, _) -> h <> waiter && reaches h) locks.holders
+    || Queue.fold (fun found r -> found || (r.r_tx <> waiter && reaches r.r_tx)) false locks.queue
+  and reaches node =
     node = tx
-    || (not (Hashtbl.mem visited node))
+    || (not (Itbl.mem visited node))
        && begin
-         Hashtbl.replace visited node ();
-         List.exists reaches_tx (edges_of t node)
+         Itbl.replace visited node ();
+         match Itbl.find_opt t.queued_on node with
+         | None -> false
+         | Some items ->
+           List.exists
+             (fun item ->
+               match Itbl.find_opt t.items item with
+               | Some locks -> behind locks node
+               | None -> false)
+             !items
        end
   in
-  List.exists reaches_tx (blockers (item_locks t item) tx)
+  behind (item_locks t item) tx
 
 let acquire t ~tx ~item ~mode ~granted =
   let locks = item_locks t item in
@@ -126,23 +129,23 @@ let acquire t ~tx ~item ~mode ~granted =
 
 let release_all t ~tx =
   let touched = ref [] in
-  (match Hashtbl.find_opt t.held_by tx with
+  (match Itbl.find_opt t.held_by tx with
    | Some items ->
      List.iter
        (fun item ->
-         match Hashtbl.find_opt t.items item with
+         match Itbl.find_opt t.items item with
          | Some locks ->
            locks.holders <- List.remove_assoc tx locks.holders;
            touched := item :: !touched
          | None -> ())
        !items;
-     Hashtbl.remove t.held_by tx
+     Itbl.remove t.held_by tx
    | None -> ());
-  (match Hashtbl.find_opt t.queued_on tx with
+  (match Itbl.find_opt t.queued_on tx with
    | Some items ->
      List.iter
        (fun item ->
-         match Hashtbl.find_opt t.items item with
+         match Itbl.find_opt t.items item with
          | Some locks ->
            let keep = Queue.create () in
            Queue.iter
@@ -153,17 +156,17 @@ let release_all t ~tx =
            touched := item :: !touched
          | None -> ())
        !items;
-     Hashtbl.remove t.queued_on tx
+     Itbl.remove t.queued_on tx
    | None -> ());
   List.iter
     (fun item ->
-      match Hashtbl.find_opt t.items item with
+      match Itbl.find_opt t.items item with
       | Some locks -> dispatch t item locks
       | None -> ())
     (List.sort_uniq Int.compare !touched)
 
 let holds t ~tx ~item =
-  match Hashtbl.find_opt t.items item with
+  match Itbl.find_opt t.items item with
   | Some locks -> List.mem_assoc tx locks.holders
   | None -> false
 

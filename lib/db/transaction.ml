@@ -15,17 +15,21 @@ let write_set t =
   |> List.sort_uniq Int.compare
 
 let writes t =
-  (* Last write per item wins; preserve first-write program order. *)
-  let last = Hashtbl.create 8 in
-  List.iter (function Op.Write (i, v) -> Hashtbl.replace last i v | Op.Read _ -> ()) t.ops;
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (function
-      | Op.Write (i, _) when not (Hashtbl.mem seen i) ->
-        Hashtbl.replace seen i ();
-        Some (i, Hashtbl.find last i)
-      | Op.Write _ | Op.Read _ -> None)
-    t.ops
+  (* Last write per item wins; preserve first-write program order. A
+     transaction has a handful of operations, so plain list walks beat
+     building tables. *)
+  let rec last_value i v = function
+    | [] -> v
+    | Op.Write (j, w) :: rest when j = i -> last_value i w rest
+    | _ :: rest -> last_value i v rest
+  in
+  let rec first_writes seen = function
+    | [] -> []
+    | Op.Write (i, v) :: rest when not (List.mem i seen) ->
+      (i, last_value i v rest) :: first_writes (i :: seen) rest
+    | _ :: rest -> first_writes seen rest
+  in
+  first_writes [] t.ops
 
 let is_update t = List.exists Op.is_write t.ops
 let op_count t = List.length t.ops

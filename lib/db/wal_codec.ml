@@ -24,19 +24,38 @@ type repair =
 let header_len = 16
 let crc_off = 12
 
-(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), computed bitwise.
-   A 256-entry table would be a toplevel mutable (or a big literal); at WAL
-   record sizes the bitwise loop is well inside the append-path budget. *)
-let crc32 bytes ~pos ~len =
-  let crc = ref 0xFFFFFFFF in
+(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), one table lookup
+   per byte. The table is built once at module initialisation and never
+   written afterwards, so every domain may read it. *)
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done;
+      !c)
+
+let[@inline] crc_byte crc byte = Array.unsafe_get crc_table ((crc lxor byte) land 0xFF) lxor (crc lsr 8)
+
+(* Feed [s.[pos .. pos+len-1]] through the register; the caller has checked
+   the range. *)
+let crc_update crc s ~pos ~len =
+  let crc = ref crc in
   for i = pos to pos + len - 1 do
-    crc := !crc lxor Char.code (Bytes.get bytes i);
-    for _ = 0 to 7 do
-      let c = !crc in
-      crc := if c land 1 = 1 then (c lsr 1) lxor 0xEDB88320 else c lsr 1
-    done
+    crc := crc_byte !crc (Char.code (String.unsafe_get s i))
   done;
-  (!crc lxor 0xFFFFFFFF) land 0xFFFFFFFF
+  !crc
+
+let crc32 bytes ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length bytes - len then invalid_arg "Wal_codec.crc32";
+  crc_update 0xFFFFFFFF (Bytes.unsafe_to_string bytes) ~pos ~len lxor 0xFFFFFFFF
+
+(* The checksum of a whole frame as [encode] computed it: over the frame
+   with the crc field read as zero, without copying the frame. *)
+let frame_crc s =
+  let crc = crc_update 0xFFFFFFFF s ~pos:0 ~len:crc_off in
+  let crc = crc_byte (crc_byte (crc_byte (crc_byte crc 0) 0) 0) 0 in
+  crc_update crc s ~pos:header_len ~len:(String.length s - header_len) lxor 0xFFFFFFFF
 
 let decision_byte = function Certifier.Commit -> 0 | Certifier.Abort -> 1
 
@@ -60,38 +79,44 @@ let encode ~seq ~tx ~decision ~writes =
   Bytes.set_int32_le b crc_off (Int32.of_int crc);
   Bytes.unsafe_to_string b
 
+(* An 8-byte field can only hold what [encode] writes, an OCaml int: a
+   sign-extended 63-bit value. Anything else is garbage that [Int64.to_int]
+   would silently fold onto a valid int (dropping bit 63). *)
+let int_field_ok s off =
+  let x = String.get_int64_le s off in
+  Int64.equal (Int64.of_int (Int64.to_int x)) x
+
+let int_field s off = Int64.to_int (String.get_int64_le s off)
+
 let decode ?(verify = true) s =
   let n = String.length s in
   if n < header_len then Error Torn
   else begin
-    let b = Bytes.of_string s in
-    let payload_len = Int32.to_int (Bytes.get_int32_le b 8) in
+    let payload_len = Int32.to_int (String.get_int32_le s 8) in
     if payload_len < 13 then Error Bad_length
     else if header_len + payload_len > n then Error Torn
     else if header_len + payload_len < n then Error Bad_length
     else begin
-      let stored = Int32.to_int (Bytes.get_int32_le b crc_off) land 0xFFFFFFFF in
-      Bytes.set_int32_le b crc_off 0l;
-      let computed = crc32 b ~pos:0 ~len:n in
-      if verify && stored <> computed then Error Bad_checksum
+      let stored = Int32.to_int (String.get_int32_le s crc_off) land 0xFFFFFFFF in
+      if verify && stored <> frame_crc s then Error Bad_checksum
       else begin
-        let seq = Int64.to_int (Bytes.get_int64_le b 0) in
-        let tx = Int64.to_int (Bytes.get_int64_le b 16) in
-        let decision_ok = Bytes.get_uint8 b 24 in
-        let count = Int32.to_int (Bytes.get_int32_le b 25) in
-        if count < 0 || 29 + (16 * count) <> header_len + payload_len then Error Bad_length
-        else
-          match decision_ok with
-          | 0 | 1 ->
-              let decision = if decision_ok = 0 then Certifier.Commit else Certifier.Abort in
+        let count = Int32.to_int (String.get_int32_le s 25) in
+        if count < 0 || 29 + (16 * count) <> n then Error Bad_length
+        else begin
+          (* Unverified, a field no encoder writes is reported like a bad
+             checksum: the bytes are not what was written. *)
+          let rec items_ok i = i = 2 * count || (int_field_ok s (29 + (8 * i)) && items_ok (i + 1)) in
+          match String.get_uint8 s 24 with
+          | (0 | 1) as d when int_field_ok s 0 && int_field_ok s 16 && items_ok 0 ->
+              let decision = if d = 0 then Certifier.Commit else Certifier.Abort in
               let writes =
                 List.init count (fun i ->
                     let off = 29 + (16 * i) in
-                    ( Int64.to_int (Bytes.get_int64_le b off),
-                      Int64.to_int (Bytes.get_int64_le b (off + 8)) ))
+                    (int_field s off, int_field s (off + 8)))
               in
-              Ok { seq; tx; decision; writes }
+              Ok { seq = int_field s 0; tx = int_field s 16; decision; writes }
           | _ -> Error Bad_checksum
+        end
       end
     end
   end

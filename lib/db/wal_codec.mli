@@ -2,7 +2,7 @@
 
     Every record is one self-describing byte string:
     [[seq:8 LE][len:4 LE][crc:4 LE][payload]] where [len] is the payload
-    length and [crc] is CRC-32 (IEEE, computed bitwise) over the whole
+    length and [crc] is CRC-32 (IEEE, table-driven) over the whole
     frame with the crc field zeroed — so a flip anywhere, header included,
     is detected. The payload carries the transaction id, decision and
     write set. Sequence numbers are monotonic and never reused, letting
@@ -19,7 +19,11 @@ type record = {
 
 type error =
   | Torn  (** frame shorter than its header claims (cut mid-record). *)
-  | Bad_checksum  (** stored CRC does not match the frame contents. *)
+  | Bad_checksum
+      (** stored CRC does not match the frame contents; or, decoding
+          unverified, a field no encoder writes (a decision byte other
+          than 0 or 1, an 8-byte field that is not a sign-extended 63-bit
+          int). *)
   | Bad_length  (** internally inconsistent lengths (not a crash artefact). *)
 
 type repair =
@@ -38,7 +42,8 @@ val encode :
 val decode : ?verify:bool -> string -> (record, error) result
 (** Total: never raises, any byte string yields [Ok] or a typed error.
     [~verify:false] skips the checksum comparison (the [break_skip_checksum]
-    oracle mutation) — structural checks still apply. *)
+    oracle mutation) — structural checks still apply, so an unverified
+    decode never aliases a damaged field onto a valid int. *)
 
 val scan : ?verify:bool -> string list -> record list * repair list
 (** [scan frames] decodes a durable log oldest-first, returning the

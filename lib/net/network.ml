@@ -65,9 +65,11 @@ let link_key src dst =
   let a = Node_id.index src and b = Node_id.index dst in
   (min a b, max a b)
 
+(* With no link blocked (the common case) the link key is neither built
+   nor hashed. *)
 let reachable net src dst =
   group_of net (Node_id.index src) = group_of net (Node_id.index dst)
-  && not (Hashtbl.mem net.blocked_links (link_key src dst))
+  && (Hashtbl.length net.blocked_links = 0 || not (Hashtbl.mem net.blocked_links (link_key src dst)))
 
 let partition net groups =
   let tbl = Hashtbl.create 16 in
@@ -127,7 +129,7 @@ let transmit net ~src ~dst payload =
        frame overtaken by the repaired path. Consumed even if the copies are
        later dropped at delivery (receiver down, partition). *)
     let dst_index = Node_id.index dst in
-    if Hashtbl.mem net.duplicate_next_to dst_index then begin
+    if Hashtbl.length net.duplicate_next_to > 0 && Hashtbl.mem net.duplicate_next_to dst_index then begin
       Hashtbl.remove net.duplicate_next_to dst_index;
       net.duplicated <- net.duplicated + 1;
       ignore

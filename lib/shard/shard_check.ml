@@ -321,7 +321,8 @@ type result = {
   counterexample : counterexample option;
 }
 
-let storm ?(max_events = 4) ~seed ~budget config =
+let storm ~seed ~budget config =
+  let max_events = 4 in
   let rng = Sim.Rng.create seed in
   let storms = Array.init (Int.max 0 budget) (fun _ -> random_schedule config rng ~max_events) in
   let fails schedule = (run config schedule).failed in

@@ -112,10 +112,10 @@ type result = {
   counterexample : counterexample option;
 }
 
-val storm : ?max_events:int -> seed:int64 -> budget:int -> config -> result
-(** Run up to [budget] random storms through {!Check.Pipeline.first_failing},
-    stopping at the first failure and shrinking it with the server count
-    held. Runs fan out over the domain pool; each run keeps its shards on
+val storm : seed:int64 -> budget:int -> config -> result
+(** Run up to [budget] random storms ({!random_schedule} with
+    [~max_events:4]) through {!Check.Pipeline.first_failing}, stopping at
+    the first failure and shrinking it with the server count held. Runs fan out over the domain pool; each run keeps its shards on
     one domain, so domains never nest. *)
 
 (** {1 Printing} *)

@@ -145,7 +145,6 @@ let map t = t.map
 let sys t i = t.states.(i).ss_sys
 let engine_of t i = System.engine t.states.(i).ss_sys
 let metrics t i = t.states.(i).ss_metrics
-let xregistry t i = t.states.(i).ss_xreg
 let now t = Sim.Engine.now (engine_of t 0)
 
 let set_warmup t at = Array.iter (fun s -> Workload.Metrics.set_warmup s.ss_metrics at) t.states
@@ -451,14 +450,5 @@ let merged_registry t =
       let prefix = Printf.sprintf "shard.%d." i in
       Obs.Registry.merge_prefixed ~into:merged ~prefix (System.obs_registry s.ss_sys);
       Obs.Registry.merge_prefixed ~into:merged ~prefix s.ss_xreg)
-    t.states;
-  merged
-
-let aggregate_registry t =
-  let merged = Obs.Registry.create () in
-  Array.iter
-    (fun s ->
-      Obs.Registry.merge_into ~into:merged (System.obs_registry s.ss_sys);
-      Obs.Registry.merge_into ~into:merged s.ss_xreg)
     t.states;
   merged

@@ -64,11 +64,6 @@ val create : config -> t
 (** {1 Topology} *)
 
 val shards : t -> int
-val servers_per_shard : t -> int
-
-val n_servers : t -> int
-(** Global server count ([shards * servers_per_shard]); global index [gi]
-    is server [gi mod sps] of shard [gi / sps]. *)
 
 val map : t -> Shard_map.t
 val sys : t -> int -> Groupsafe.System.t
@@ -145,26 +140,13 @@ val acked : t -> gack list
 (** Every global acknowledgement across all shards, ordered by
     (time, transaction id) — deterministic at any worker count. *)
 
-val probe_id : int -> Db.Transaction.id
-(** The (negative) id of the phase-1 probe sub-transaction of global
-    transaction [gtx]; disjoint from every workload id and every
-    {!write_id}. *)
-
 val write_id : int -> Db.Transaction.id
 (** The (negative) id of the phase-2 write sub-transaction of global
-    transaction [gtx]. *)
+    transaction [gtx]; disjoint from every workload id and from the
+    phase-1 probe sub-transaction ids. *)
 
 (** {1 Observability} *)
-
-val xregistry : t -> int -> Obs.Registry.t
-(** Shard [i]'s cross-shard counters ([xshard.*]): fast-path and
-    cross-shard submissions, commits/aborts/timeouts, probe and write
-    sub-transactions, failed write subs, link drops. *)
 
 val merged_registry : t -> Obs.Registry.t
 (** Every shard's system registry and [xshard.*] counters folded in shard
     order under [shard.<i>.*] — the per-shard observability export. *)
-
-val aggregate_registry : t -> Obs.Registry.t
-(** The same metrics folded without prefixes (counters sum across
-    shards) — the whole-deployment view. *)

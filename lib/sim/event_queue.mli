@@ -3,11 +3,12 @@
     A binary min-heap keyed by [(time, sequence)]: events at equal instants
     pop in insertion order, which keeps simulations deterministic.
 
-    The heap is laid out as parallel arrays — priority keys in unboxed
-    [int] arrays, payloads beside them — so [add] allocates nothing in the
-    steady state and comparisons never chase a pointer. Popped (and
-    cleared) slots are overwritten, so a consumed event's value is
-    unreachable as soon as it is returned. *)
+    The heap arrays hold only ints — time, sequence number and the slot
+    holding the payload — and payloads live in a slot table written once
+    on [add] and cleared once on pop, so restoring the heap moves no
+    pointer, [add] allocates nothing in the steady state and comparisons
+    never chase a pointer. A popped (or cleared) payload is unreachable as
+    soon as it is returned. *)
 
 type 'a t
 (** A queue of events carrying values of type ['a]. *)
@@ -45,6 +46,7 @@ val clear : 'a t -> unit
 
 val heap_ok : 'a t -> bool
 (** Test hook: whether the internal [(time, sequence)] min-heap property
-    holds and every slot beyond the live size has been cleared back to the
-    dummy (the space-leak guard). Always [true] unless the implementation
-    is broken — the fuzz tests call it after every operation. *)
+    holds, every live payload slot is named by exactly one heap position,
+    and every free slot has been cleared back to the dummy (the space-leak
+    guard). Always [true] unless the implementation is broken — the fuzz
+    tests call it after every operation. *)

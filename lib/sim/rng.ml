@@ -1,23 +1,30 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than in a boxed [int64]
+   field, so a draw updates it in place: storing the new state allocates
+   nothing and needs no write barrier. *)
+type t = { state : Bytes.t }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let create seed =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_ne state 0 seed;
+  { state }
 
-let int64 r =
-  r.state <- Int64.add r.state golden_gamma;
-  mix64 r.state
+let[@inline] int64 r =
+  let s = Int64.add (Bytes.get_int64_ne r.state 0) golden_gamma in
+  Bytes.set_int64_ne r.state 0 s;
+  mix64 s
 
 let split r = create (int64 r)
-let copy r = { state = r.state }
+let copy r = { state = Bytes.copy r.state }
 
 (* A float uniform in [0, 1) built from the top 53 bits of an output. *)
-let unit_float r =
+let[@inline] unit_float r =
   let bits = Int64.shift_right_logical (int64 r) 11 in
   Int64.to_float bits *. 0x1.0p-53
 

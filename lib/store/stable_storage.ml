@@ -35,6 +35,9 @@ type 'a t = {
      the condition releases them in order. Parked records are volatile. *)
   parked : 'a pending Queue.t;
   mutable full : bool;
+  (* Bumped by every change to the durable records other than an append:
+     readers that decode the log incrementally rebuild when it moves. *)
+  mutable rewrites : int;
 }
 
 let create engine ~name ~disk ~write_time ?(config = default_config) () =
@@ -58,6 +61,7 @@ let create engine ~name ~disk ~write_time ?(config = default_config) () =
     lies_dropped = 0;
     parked = Queue.create ();
     full = false;
+    rewrites = 0;
   }
 
 let flush_duration log =
@@ -116,7 +120,18 @@ let durable_records log =
   if log.lied_n = 0 then List.rev log.durable_rev
   else List.rev_append log.lied_rev [] |> List.rev_append log.durable_rev
 
+(* The newest [k] records of a reversed list, oldest first. *)
+let newest_rev k rev =
+  let rec go k acc = function r :: rest when k > 0 -> go (k - 1) (r :: acc) rest | _ -> acc in
+  go k [] rev
+
+let durable_records_from log i =
+  let i = Int.max 0 i in
+  if i >= log.durable_n then newest_rev (log.lied_n - (i - log.durable_n)) log.lied_rev
+  else newest_rev (log.durable_n - i) log.durable_rev @ newest_rev log.lied_n log.lied_rev
+
 let durable_count log = log.durable_n + log.lied_n
+let rewrites log = log.rewrites
 
 let pending_count log =
   (* The in-flight batch was removed from [pending] but is not durable yet;
@@ -129,6 +144,7 @@ let crash log =
   log.flushing <- false;
   Queue.clear log.pending;
   Queue.clear log.parked;
+  if log.lied_n > 0 then log.rewrites <- log.rewrites + 1;
   if log.lying || log.lied_n > 0 then begin
     log.lies_dropped <- log.lies_dropped + log.lied_n;
     log.lied_rev <- [];
@@ -139,6 +155,7 @@ let crash log =
 let flush_count log = log.flushes
 
 let truncate log ~keep =
+  log.rewrites <- log.rewrites + 1;
   let kept = List.filter keep log.durable_rev in
   log.durable_rev <- kept;
   log.durable_n <- List.length kept;
@@ -171,6 +188,7 @@ let tamper_last log f =
   | [] -> false
   | r :: rest ->
       log.durable_rev <- f r :: rest;
+      log.rewrites <- log.rewrites + 1;
       true
 
 let last_durable log = match log.durable_rev with [] -> None | r :: _ -> Some r

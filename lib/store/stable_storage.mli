@@ -44,7 +44,19 @@ val durable_records : 'a t -> 'a list
     inspection used by recovery code and checkers; the simulated cost of a
     recovery read is charged separately by callers. *)
 
+val durable_records_from : 'a t -> int -> 'a list
+(** [durable_records_from log i] is [durable_records log] without its
+    first [i] records: what became durable since a reader last saw
+    {!durable_count}[ = i], costing only the records returned. Valid as
+    such only while {!rewrites} is unchanged. *)
+
 val durable_count : 'a t -> int
+
+val rewrites : 'a t -> int
+(** How often the durable records changed other than by an append: bumped
+    by {!truncate}, by {!tamper_last}, and by a {!crash} that drops
+    lied-about records. A reader that decodes the log incrementally must
+    start over when this moves. *)
 
 val pending_count : 'a t -> int
 (** Records accepted but not yet durable (would be lost by a crash now). *)

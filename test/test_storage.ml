@@ -66,9 +66,18 @@ let prop_flip_detected =
    structural checks cannot see (the transaction id) and an unverified
    decode happily misparses it — exactly what [break_skip_checksum]
    re-enables and the durability oracle must catch. *)
+(* Byte 23 holds bits 56-63 of the transaction id. An OCaml int is a
+   sign-extended 63-bit value (bits 62 and 63 agree), so a flip the id can
+   carry touches both of those bits or neither; any other flip there is
+   garbage the decoder rejects (see [test_bit63_flip_rejected]). *)
+let carried_flip pos mask = if pos = 23 && mask land 0xC0 <> 0 then mask lor 0xC0 else mask
+
 let prop_skip_checksum_misparses =
   QCheck2.Test.make ~name:"without the checksum a tx-id flip misparses" ~count:200
-    QCheck2.Gen.(triple record_gen (int_range 16 23) (int_range 1 255))
+    QCheck2.Gen.(
+      map
+        (fun (r, pos, mask) -> (r, pos, carried_flip pos mask))
+        (triple record_gen (int_range 16 23) (int_range 1 255)))
     (fun ((_seq, tx, decision, _writes) as r, pos, mask) ->
       let frame = Bytes.of_string (encode r) in
       Bytes.set frame pos (Char.chr (Char.code (Bytes.get frame pos) lxor mask));
@@ -82,6 +91,17 @@ let prop_skip_checksum_misparses =
         | Error _ -> false
       in
       detected && misparsed)
+
+(* Flipping only bit 63 of the id leaves a field no encoder writes:
+   [Int64.to_int] would drop the bit and hand back the very same id, so the
+   unverified decode must reject the frame instead of parsing it. *)
+let test_bit63_flip_rejected () =
+  let frame = Bytes.of_string (encode (3, 42, Db.Certifier.Commit, [ (1, 10) ])) in
+  Bytes.set frame 23 (Char.chr (Char.code (Bytes.get frame 23) lxor 0x80));
+  let flipped = Bytes.to_string frame in
+  check_bool "checked decode rejects it" true (Result.is_error (Db.Wal_codec.decode flipped));
+  check_bool "unverified decode rejects it too" true
+    (Result.is_error (Db.Wal_codec.decode ~verify:false flipped))
 
 let test_scan_repairs () =
   let f i = encode (i, i, Db.Certifier.Commit, [ (i, i) ]) in
@@ -174,6 +194,119 @@ let test_tamper_last () =
     (Store.Stable_storage.tamper_last log (fun s -> String.sub s 0 1));
   Alcotest.(check (list string)) "in place, older records untouched" [ "old"; "n" ]
     (Store.Stable_storage.durable_records log)
+
+let test_records_from_and_rewrites () =
+  let engine, log = log_fixture () in
+  let from i = Store.Stable_storage.durable_records_from log i in
+  let rewrites () = Store.Stable_storage.rewrites log in
+  Store.Stable_storage.append_quiet log "a";
+  Store.Stable_storage.append_quiet log "b";
+  Sim.Engine.run engine;
+  Store.Stable_storage.arm_fsync_lie log;
+  Store.Stable_storage.append_quiet log "lie";
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "from 0 is everything" [ "a"; "b"; "lie" ] (from 0);
+  Alcotest.(check (list string)) "from 1 spans real and lied records" [ "b"; "lie" ] (from 1);
+  Alcotest.(check (list string)) "from the lied part" [ "lie" ] (from 2);
+  Alcotest.(check (list string)) "from the end" [] (from 3);
+  check_int "appends are not rewrites" 0 (rewrites ());
+  Store.Stable_storage.crash log;
+  check_int "a crash dropping lies is a rewrite" 1 (rewrites ());
+  Store.Stable_storage.crash log;
+  check_int "a crash dropping nothing is not" 1 (rewrites ());
+  ignore (Store.Stable_storage.tamper_last log (fun s -> s ^ "!") : bool);
+  check_int "tamper_last is a rewrite" 2 (rewrites ());
+  Store.Stable_storage.truncate log ~keep:(fun _ -> true);
+  check_int "truncate is a rewrite" 3 (rewrites ())
+
+(* ---- The durable-decision index against the scan it replaces ---- *)
+
+(* A transaction's decision never changes (replay refuses conflicting
+   outcomes), so even ids commit and odd ones abort; logging an id again
+   with other writes makes "the first clean record" matter. *)
+type wal_op =
+  | Log of { tx : int; quiet : bool; writes : (int * int) list }
+  | Run of int
+  | Arm of Db.Db_engine.fault
+  | Crash
+  | Skip_checksum
+  | Recover_now
+
+let wal_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          let* tx = int_range 0 5 in
+          let* quiet = bool in
+          let* writes = list_size (int_range 0 3) (pair (int_range 0 99) (int_range 0 999)) in
+          return (Log { tx; quiet; writes = (if tx mod 2 = 0 then writes else []) }) );
+        (4, map (fun us -> Run us) (int_range 0 30_000));
+        ( 3,
+          map
+            (fun f -> Arm f)
+            (oneofl
+               Db.Db_engine.[ Torn_write; Fsync_lie; Corrupt_record; Wipe_wal; Wipe_wal_at_crash ])
+        );
+        (3, return Crash);
+        (1, return Skip_checksum);
+        (1, return Recover_now);
+      ])
+
+let print_wal_op = function
+  | Log { tx; quiet; writes } ->
+    Printf.sprintf "log tx=%d%s writes=%d" tx (if quiet then " quiet" else "") (List.length writes)
+  | Run us -> Printf.sprintf "run %dus" us
+  | Arm Db.Db_engine.Torn_write -> "torn"
+  | Arm Db.Db_engine.Fsync_lie -> "fsync-lie"
+  | Arm Db.Db_engine.Corrupt_record -> "corrupt"
+  | Arm Db.Db_engine.Wipe_wal -> "wipe"
+  | Arm Db.Db_engine.Wipe_wal_at_crash -> "amnesia"
+  | Crash -> "crash+restart"
+  | Skip_checksum -> "skip-checksum"
+  | Recover_now -> "recover-now"
+
+(* Interleave commits, engine runs and every storage fault, and after each
+   step ask the index and the scan it replaced about every transaction id
+   (plus two that never occur): the answers must be identical. *)
+let prop_index_matches_scan =
+  QCheck2.Test.make ~name:"durable-decision index answers as the WAL scan" ~count:300
+    ~print:QCheck2.Print.(list print_wal_op)
+    QCheck2.Gen.(list_size (int_range 0 40) wal_op_gen)
+    (fun script ->
+      let engine = Sim.Engine.create () in
+      let process = Sim.Process.create engine ~name:"S0" in
+      let cpus = Sim.Resource.create engine ~name:"cpu" ~servers:1 in
+      let disks = Sim.Resource.create engine ~name:"disk" ~servers:1 in
+      let db =
+        Db.Db_engine.create engine ~process ~cpus ~disks ~rng:(Sim.Rng.create 7L)
+          Db.Db_engine.table4_config
+      in
+      let agree () =
+        let records = Db.Db_engine.wal_records db in
+        List.for_all
+          (fun tx ->
+            Db.Db_engine.durable_record db tx
+            = List.find_opt (fun r -> r.Db.Db_engine.w_tx = tx) records)
+          [ -1; 0; 1; 2; 3; 4; 5; 6 ]
+      in
+      let step op =
+        (match op with
+        | Log { tx; quiet; writes } ->
+          let decision = if tx mod 2 = 0 then Db.Certifier.Commit else Db.Certifier.Abort in
+          if quiet then Db.Db_engine.log_commit_quiet db ~tx ~decision ~writes
+          else Db.Db_engine.log_commit db ~tx ~decision ~writes ~k:(fun () -> ())
+        | Run span ->
+          Sim.Engine.run engine ~until:(Sim.Sim_time.add (Sim.Engine.now engine) (us span))
+        | Arm fault -> Db.Db_engine.inject db fault
+        | Crash ->
+          Sim.Process.kill process;
+          Sim.Process.restart process
+        | Skip_checksum -> Db.Db_engine.break_skip_checksum db
+        | Recover_now -> ignore (Db.Db_engine.recover_now db : Db.Db_engine.repair_report));
+        agree ()
+      in
+      agree () && List.for_all step script)
 
 (* ---- Replay: the storage corpus ---- *)
 
@@ -422,7 +555,11 @@ let () =
         :: QCheck_alcotest.to_alcotest prop_truncation_detected
         :: QCheck_alcotest.to_alcotest prop_flip_detected
         :: QCheck_alcotest.to_alcotest prop_skip_checksum_misparses
-        :: [ Alcotest.test_case "scan repairs and reports" `Quick test_scan_repairs ] );
+        :: [
+             Alcotest.test_case "bit-63 id flip rejected unverified" `Quick
+               test_bit63_flip_rejected;
+             Alcotest.test_case "scan repairs and reports" `Quick test_scan_repairs;
+           ] );
       ( "stable-storage",
         [
           Alcotest.test_case "lying fsync acks then drops" `Quick test_fsync_lie_hook;
@@ -430,7 +567,10 @@ let () =
             test_disk_full_parks_and_releases;
           Alcotest.test_case "write factor slows flushes" `Quick test_write_factor_slows_flushes;
           Alcotest.test_case "tamper_last / last_durable" `Quick test_tamper_last;
+          Alcotest.test_case "records from a position / rewrite counter" `Quick
+            test_records_from_and_rewrites;
         ] );
+      ("wal-index", [ QCheck_alcotest.to_alcotest prop_index_matches_scan ]);
       ("corpus", [ Alcotest.test_case "replay corpus re-certified" `Quick test_corpus ]);
       ( "subsumption",
         [
